@@ -86,17 +86,25 @@ def _partition_summary(p) -> dict:
     }
 
 
+# construct builder -> (options it needs besides --q, build from the arguments)
+_BUILDERS = {
+    "spread": (("n", "d"), lambda a: spread(a.q, a.n, a.d)),
+    "near-spread": (("n", "d"), lambda a: near_spread(a.q, a.n, a.d)),
+    "hsection": (("k", "d"), lambda a: hyperplane_section(a.q, a.k, a.d)),
+    "typed": (("n", "type"), lambda a: typed_construct(a.q, a.n, PartitionType.parse(a.type))),
+    "tpartition": (
+        ("T", "n"),
+        lambda a: build_t_partition(a.q, _parse_dims(a.T), a.n, budget=a.budget),
+    ),
+}
+
+
 def _cmd_construct(args) -> int:
-    if args.builder == "spread":
-        part = spread(args.q, args.n, args.d)
-    elif args.builder == "near-spread":
-        part = near_spread(args.q, args.n, args.d)
-    elif args.builder == "hsection":
-        part = hyperplane_section(args.q, args.k, args.d)
-    elif args.builder == "typed":
-        part = typed_construct(args.q, args.n, PartitionType.parse(args.type))
-    else:
-        part = build_t_partition(args.q, _parse_dims(args.T), args.n, budget=args.budget)
+    needs, build = _BUILDERS[args.builder]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"construct {args.builder} needs {' and '.join(missing)}")
+    part = build(args)
     _maybe_write(part, args.out)
     payload = _partition_summary(part)
     _emit(payload, args.json, [f"built partition of type {payload['type']} (r={part.r})"])
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = subs.add_parser("construct", help="build a partition with a closed-form rule")
-    sp.add_argument("builder", choices=("spread", "near-spread", "hsection", "typed", "tpartition"))
+    sp.add_argument("builder", choices=tuple(_BUILDERS))
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=int)
@@ -336,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", help="partition type goal, e.g. 1x2,4x3")
     sp.add_argument("--T", help="dimension-set goal, e.g. 2,3")
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; the search runs sequentially")
     sp.add_argument("--out", help="write a found partition here")
     _add_common(sp)
     sp.set_defaults(func=_cmd_search)

@@ -234,17 +234,45 @@ def fixed_plus_lines(q: int, m: int, d: int) -> Partition:
     return _checked(out)
 
 
-def _positive_solutions(q: int, n: int, dims: Tuple[int, ...]) -> List[TypeSolution]:
-    """Annotated solutions with every dimension present, in lex order."""
-    return [annotate(s) for s in solve(q, n, dims) if all(xi >= 1 for xi in s.x)]
-
-
 def _first_component_of_dim(p: Partition, d: int) -> Subspace:
     return next(c for c in p.components if c.dim == d)
 
 
-def _with_rule(p: Partition, rule: dict) -> Partition:
-    return Partition(p.field, p.n, p.components, provenance=rule)
+# A rule returns (rule name, partition, provenance beyond rule/T/n) to _finish.
+_Built = Tuple[str, Partition, dict]
+
+
+def _finish(T: Tuple[int, ...], n: int, built: _Built) -> Partition:
+    """The single exit of the builder: check T and stamp the provenance."""
+    rule, p, extra = built
+    if not is_T_partition(p, T):
+        raise AssertionError(
+            f"rule {rule} produced dimensions {sorted({c.dim for c in p.components})}, "
+            f"wanted {list(T)}"
+        )
+    provenance = {"rule": rule, "T": list(T), "n": n, **extra}
+    return Partition(p.field, p.n, p.components, provenance=provenance)
+
+
+def _solutions(
+    q: int, n: int, T: Tuple[int, ...]
+) -> Tuple[List[TypeSolution], List[TypeSolution]]:
+    """Annotated solutions with every dimension present, in lex order, and
+    those of them passing every necessary condition."""
+    solutions = [annotate(s) for s in solve(q, n, T) if all(xi >= 1 for xi in s.x)]
+    return solutions, [s for s in solutions if s.passes_all()]
+
+
+def _lift_split(
+    seed: Partition, m: int, base_fill: Partition, ext_fill: Optional[Partition] = None
+) -> Partition:
+    """Lift seed across m added coordinates, then refine the base block by
+    base_fill and, when given, the added block by ext_fill."""
+    lifted = lift(seed, m)
+    out = refine(lifted.partition, lifted.base_component, base_fill)
+    if ext_fill is not None:
+        out = refine(out, lifted.ext_component, ext_fill)
+    return out
 
 
 def build_t_partition(
@@ -252,14 +280,27 @@ def build_t_partition(
 ) -> Partition:
     """Build a partition whose set of component dimensions is exactly `dims`.
 
-    Dispatches, in fixed order: a single dimension becomes a spread; at
-    n = 2*max the base builder runs (with a refinement into lines when 1 is
-    requested); above that the space is split as a 2*max block plus a
-    spread-partitioned complement, glued by lift; further rules cover
-    n >= 3*max and two windows with max above n/2.  Parameters matching no
-    rule raise UncoveredCase carrying the annotated count solutions, and
-    parameters whose count equation is infeasible or fails the necessary
-    conditions are rejected the same way up front.
+    With m = max(T), the first matching rule of this chain builds it:
+      spread               T is a single dimension;
+      lines-refined-base   n = 2m and 1 in T: the half base for T - {1},
+                           with one smallest component split into lines;
+      half base            n = 2m otherwise (see _half_base);
+      gcd-split            n > 2m and some d in T divides gcd(n, 2m): a
+                           d-spread of V_2m lifted across n - 2m, its two
+                           blocks refined into a T-partition and a d-spread;
+      triple-split         n >= 3m and some d in T divides n - 2m: the
+                           T-partition of V_2m lifted and refined likewise;
+      adjacent-sum         m > n/2, the two largest dimensions sum to n and
+                           1 in T: a near-spread with some small components
+                           refined into lines or fixed-plus-lines;
+      top-split            m > n/2, n >= m + 2m' for the second largest m',
+                           and a matching divisor: the (T - {m})-partition of
+                           V_{n-m} lifted across m;
+      typed-fallback       T = {a, n - a}: the near-spread.
+    Parameters matching no rule raise UncoveredCase carrying the annotated
+    count solutions, and parameters whose count equation is infeasible or
+    fails the necessary conditions are rejected the same way up front.
+    Every recursive build strictly decreases n.
     """
     T = tuple(sorted(set(int(d) for d in dims)))
     if not T or T[0] < 1:
@@ -267,10 +308,7 @@ def build_t_partition(
     if T[-1] > n:
         raise BadDimensions(f"dimension {T[-1]} exceeds the ambient dimension {n}")
     field_from_order(q)  # validates q before any heavier work
-    nk = T[-1]
-
-    solutions = _positive_solutions(q, n, T)
-    passing = [s for s in solutions if s.passes_all()]
+    solutions, passing = _solutions(q, n, T)
     if not passing:
         if not solutions:
             detail = "the counting equation has no solution with every dimension present"
@@ -280,68 +318,57 @@ def build_t_partition(
             f"no {set(T)}-partition of V_{n}(GF({q})) is possible: {detail}",
             solutions=solutions,
         )
+    built = _rule_chain(q, T, n, passing, budget)
+    if built is None:
+        raise UncoveredCase(
+            f"parameters q={q}, T={set(T)}, n={n} match no construction rule "
+            "(feasible counts exist; try the search directly)",
+            solutions=solutions,
+        )
+    return _finish(T, n, built)
 
-    # (a) one dimension: the spread.
+
+def _rule_chain(
+    q: int, T: Tuple[int, ...], n: int, passing: Sequence[TypeSolution], budget: Optional[int]
+) -> Optional[_Built]:
+    nk = T[-1]
     if len(T) == 1:
-        out = spread(q, n, T[0])
-        return _with_rule(out, {"rule": "spread", "T": list(T), "n": n})
+        return "spread", spread(q, n, T[0]), {}
 
-    # (b) n equals twice the largest dimension.  When lines are requested,
-    # build for the remaining dimensions and split one smallest component
-    # into its lines; enough same-dimension components survive because the
-    # minimum-count bound guarantees at least q + min(T') of them.
-    # Every recursive build call below this point strictly decreases n.
     if n == 2 * nk:
-        if T[0] == 1:
-            rest = T[1:]
-            passing_rest = [s for s in _positive_solutions(q, n, rest) if s.passes_all()]
-            inner = _base_builder(q, rest, n, passing_rest, budget)
-            victim = _first_component_of_dim(inner, min(rest))
-            out = refine(inner, victim, spread(q, victim.dim, 1))
-            out = _with_rule(
-                out,
-                {"rule": "lines-refined-base", "T": list(T), "n": n, "base": inner.provenance},
-            )
-        else:
-            out = _base_builder(q, T, n, passing, budget)
-        _require_T(out, T)
-        return out
+        if T[0] != 1:
+            return _half_base(q, T, n, passing, budget)
+        # Enough components of the smallest remaining dimension survive,
+        # because the minimum-count bound guarantees at least q + min(rest).
+        rest = T[1:]
+        inner = _finish(rest, n, _half_base(q, rest, n, _solutions(q, n, rest)[1], budget))
+        victim = _first_component_of_dim(inner, rest[0])
+        out = refine(inner, victim, spread(q, victim.dim, 1))
+        return "lines-refined-base", out, {"base": inner.provenance}
 
-    # (c) room above twice the largest dimension, with a matching divisor.
     if n > 2 * nk:
         g = math.gcd(n, 2 * nk)
         div = next((d for d in T if g % d == 0), None)
         if div is not None:
-            inner = spread(q, 2 * nk, div)
-            lifted = lift(inner, n - 2 * nk)
-            out = lifted.partition
-            out = refine(out, lifted.base_component, build_t_partition(q, T, 2 * nk, budget))
-            out = refine(out, lifted.ext_component, spread(q, n - 2 * nk, div))
-            out = _with_rule(out, {"rule": "gcd-split", "T": list(T), "n": n, "divisor": div})
-            _require_T(out, T)
-            return out
-
+            out = _lift_split(
+                spread(q, 2 * nk, div), n - 2 * nk,
+                build_t_partition(q, T, 2 * nk, budget), spread(q, n - 2 * nk, div),
+            )
+            return "gcd-split", out, {"divisor": div}
         if n >= 3 * nk:
             div = next((d for d in T if (n - 2 * nk) % d == 0), None)
             if div is not None:
                 inner = build_t_partition(q, T, 2 * nk, budget)
-                lifted = lift(inner, n - 2 * nk)
-                out = lifted.partition
-                out = refine(out, lifted.base_component, inner)
-                out = refine(out, lifted.ext_component, spread(q, n - 2 * nk, div))
-                out = _with_rule(
-                    out, {"rule": "triple-split", "T": list(T), "n": n, "divisor": div}
-                )
-                _require_T(out, T)
-                return out
+                out = _lift_split(inner, n - 2 * nk, inner, spread(q, n - 2 * nk, div))
+                return "triple-split", out, {"divisor": div}
 
-    # (e) largest dimension above n/2, the two largest summing to n, lines present.
-    if 2 * nk > n and len(T) >= 2 and n == nk + T[-2] and T[0] == 1:
+    if 2 * nk > n and n == nk + T[-2] and T[0] == 1:
         k = len(T)
-        out = near_spread(q, n, n - nk)
         small_dim = n - nk
+        out = near_spread(q, n, small_dim)
         victims = [c for c in out.components if c.dim == small_dim][: k - 2]
-        assert q**nk > k - 2, "not enough small components to convert"
+        if len(victims) < k - 2:
+            raise AssertionError("not enough small components to convert")
         for target_dim, victim in zip(T[: k - 2], victims):
             sub = (
                 spread(q, small_dim, 1)
@@ -349,102 +376,52 @@ def build_t_partition(
                 else fixed_plus_lines(q, small_dim, target_dim)
             )
             out = refine(out, victim, sub)
-        out = _with_rule(
-            out, {"rule": "adjacent-sum", "T": list(T), "n": n, "converted": k - 2}
-        )
-        _require_T(out, T)
-        return out
+        return "adjacent-sum", out, {"converted": k - 2}
 
-    # (f) largest dimension above n/2 with room for twice the second largest.
-    if 2 * nk > n >= nk + 2 * T[-2] and len(T) >= 2:
-        T_rest = T[:-1]
+    if 2 * nk > n >= nk + 2 * T[-2]:
         g = math.gcd(n, 2 * T[-2])
         # The split leaves a block of dimension n - nk to carry the other
         # dimensions, so the chosen divisor must divide that block's gcd too.
         g_inner = math.gcd(n - nk, 2 * T[-2])
-        div = next((d for d in T_rest if g % d == 0 and g_inner % d == 0), None)
+        div = next((d for d in T[:-1] if g % d == 0 and g_inner % d == 0), None)
         if div is not None:
-            inner = build_t_partition(q, T_rest, n - nk, budget)
-            lifted = lift(inner, nk)
-            out = refine(lifted.partition, lifted.base_component, inner)
-            out = _with_rule(out, {"rule": "top-split", "T": list(T), "n": n, "divisor": div})
-            _require_T(out, T)
-            return out
+            inner = build_t_partition(q, T[:-1], n - nk, budget)
+            return "top-split", _lift_split(inner, nk, inner), {"divisor": div}
 
-    # Last resort before giving up: the two closed-form type shapes (one
-    # dimension, or two dimensions summing to n) realize T directly.
-    for sol in passing:
-        pt = sol.as_type().normalized()
-        pd = pt.dims_present()
-        if len(pd) == 1 or (len(pd) == 2 and pd[0] + pd[1] == n):
-            try:
-                out = typed_construct(q, n, pt)
-            except UnsupportedType:
-                continue
-            out = _with_rule(out, {"rule": "typed-fallback", "T": list(T), "n": n})
-            _require_T(out, T)
-            return out
-
-    raise UncoveredCase(
-        f"parameters q={q}, T={set(T)}, n={n} match no construction rule "
-        "(feasible counts exist; try the search directly)",
-        solutions=solutions,
-    )
+    # The two-dimension closed form; its count vector is unique, as the
+    # dimension above n/2 appears exactly once.
+    if len(T) == 2 and T[0] + T[1] == n:
+        return "typed-fallback", typed_construct(q, n, passing[0].as_type()), {}
+    return None
 
 
-def _require_T(p: Partition, T: Tuple[int, ...]) -> None:
-    if not is_T_partition(p, T):
-        raise AssertionError(f"builder produced dimensions {sorted({c.dim for c in p.components})}, wanted {list(T)}")
-
-
-def _base_builder(
-    q: int,
-    T: Tuple[int, ...],
-    n: int,
-    passing: Sequence[TypeSolution],
-    budget: Optional[int],
-) -> Partition:
+def _half_base(
+    q: int, T: Tuple[int, ...], n: int, passing: Sequence[TypeSolution], budget: Optional[int]
+) -> _Built:
     """Construction at n = 2 * max(T) with all dimensions at least 2.
 
-    Tries closed forms first (the typed construction for its two shapes,
-    then a near-spread whose big component is refined recursively), and
-    falls back to exact-cover search over the surviving count vectors.
+    A single dimension is the spread; otherwise a near-spread whose big
+    component is refined recursively, and last the exact-cover search over
+    the surviving count vectors.
     """
-    # Closed forms.
-    for sol in passing:
-        pt = sol.as_type()
-        pd = pt.dims_present()
-        if len(pd) == 1 or (len(pd) == 2 and pd[0] + pd[1] == n):
-            try:
-                out = typed_construct(q, n, pt.normalized())
-            except UnsupportedType:
-                continue
-            return _with_rule(out, {"rule": "half-base-typed", "T": list(T), "n": n})
+    if len(T) == 1:
+        return "half-base-typed", spread(q, n, T[0]), {}
     for d in T[:-1]:
         if 2 * d >= n:
             continue
         for rest in (T, tuple(t for t in T if t != d)):
-            if not rest:
-                continue
             try:
                 inner = build_t_partition(q, rest, n - d, budget)
             except (UncoveredCase, NotDivisible, BadDimensions):
                 continue
             ns = near_spread(q, n, d)
-            victim = _first_component_of_dim(ns, n - d)
-            out = refine(ns, victim, inner)
+            out = refine(ns, _first_component_of_dim(ns, n - d), inner)
             if is_T_partition(out, T):
-                return _with_rule(
-                    out, {"rule": "half-base-refine", "T": list(T), "n": n, "d": d}
-                )
-    # Search fallback over the surviving count vectors, in lex order.
+                return "half-base-refine", out, {"d": d}
     for sol in passing:
         outcome = find_partition(q, n, sol.as_type(), budget=budget)
         if outcome.status == FOUND:
-            return _with_rule(
-                outcome.partition,
-                {"rule": "half-base-search", "T": list(T), "n": n, "type": sol.as_type().format()},
-            )
+            return "half-base-search", outcome.partition, {"type": sol.as_type().format()}
         if outcome.status == BUDGET:
             raise BudgetExceeded(
                 f"search for type {sol.as_type().format()} ran out of budget"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotASolution
+from .gf import _prime_power
 from .partition import PartitionType
 
 SOLVE_BUDGET = 1_000_000
@@ -92,6 +93,7 @@ def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> Li
     Complete by bounded nested enumeration, with exact divisibility at the
     last coordinate; results are in ascending lexicographic order.
     """
+    _prime_power(q)  # rejects a bad q without building field tables
     dims = _validate_dims(n, dims)
     terms = [q**d - 1 for d in dims]
     target = q**n - 1

@@ -271,10 +271,13 @@ def make_field(p: int, e: int) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 
 
-def field_from_order(q: int) -> FieldSpec:
-    """GF(q) for a prime power q; raises ValueError otherwise."""
+def _prime_power(q: int) -> Tuple[int, int]:
+    """(p, e) with q = p^e; ValueError if q is not a prime power, and
+    FieldTooLarge beyond the guard, checked first so huge q fail fast."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    if q > FIELD_ORDER_LIMIT:
+        raise FieldTooLarge(f"{q} exceeds the guard 2^20")
     p = q
     for d in range(2, q + 1):
         if d * d > q:
@@ -289,7 +292,13 @@ def field_from_order(q: int) -> FieldSpec:
         e += 1
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
-    return make_field(p, e)
+    return p, e
+
+
+def field_from_order(q: int) -> FieldSpec:
+    """GF(q) for a prime power q up to 2^20; raises ValueError for any other
+    q below the guard and FieldTooLarge above it."""
+    return make_field(*_prime_power(q))
 
 
 class ExtField:

@@ -241,7 +241,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{n} {k}]_{q} is not an integer")
     return num // den
 
 
@@ -277,5 +278,6 @@ def enumerate_subspaces(
             basis = tuple(tuple(r) for r in rows)
             out.append(Subspace(field, n, basis, pivots))
     out.sort(key=Subspace.sort_key)
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError(f"enumerated {len(out)} subspaces, expected {total}")
     return out

@@ -217,12 +217,16 @@ def _find_by_type(
 
 
 def _certified(p: Partition, goal) -> Partition:
-    # The engine guarantees both properties; keep the contract literal.
-    assert verify_partition(p).valid
+    # The engine guarantees both properties; keep the contract literal, and
+    # in force under python -O.
+    if not verify_partition(p).valid:
+        raise AssertionError("search produced an invalid partition")
     if isinstance(goal, PartitionType):
-        assert type_of(p) == goal
+        got, wanted = type_of(p), goal
     else:
-        assert {c.dim for c in p.components} == set(goal)
+        got, wanted = {c.dim for c in p.components}, set(goal)
+    if got != wanted:
+        raise AssertionError(f"search produced {got}, wanted {wanted}")
     return p
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from vspart.cli import run
 
 
@@ -165,3 +167,32 @@ def test_construct_tpartition(capsys):
     doc = json.loads(out)
     assert doc["type"] == "3x1,4x2"
     assert doc["provenance"]["rule"] == "lines-refined-base"
+
+@pytest.mark.parametrize(
+    "builder,argv,missing",
+    [
+        ("spread", ["--d", "2"], "--n"),
+        ("near-spread", ["--n", "5"], "--d"),
+        ("hsection", ["--d", "2"], "--k"),
+        ("typed", ["--n", "4"], "--type"),
+        ("tpartition", ["--n", "4"], "--T"),
+    ],
+)
+def test_construct_missing_option_is_usage_error(capsys, builder, argv, missing):
+    code, out, err = run_cli(capsys, "construct", builder, "--q", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: construct {builder} needs {missing}"]
+
+
+def test_solve_rejects_bad_q(capsys):
+    for q in ("1", "6", str(2**61 - 1)):
+        code, _, err = run_cli(capsys, "solve", "--q", q, "--n", "3", "--dims", "1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_search_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--q", "2", "--n", "4", "--T", "2", "--threads", "2"])
+    assert exc.value.code == 2

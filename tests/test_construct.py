@@ -278,11 +278,16 @@ def test_build_adjacent_sum():
 
 
 def test_build_triple_split():
+    # Neither case reaches triple-split: a single dimension is a spread, and
+    # {3,4}@12 has the divisor 4 of gcd(12, 8).  The cheapest triple-split
+    # point known, {3,4}@14, takes tens of seconds.
     p = build_t_partition(2, {2}, 10)
     assert is_T_partition(p, {2})
+    assert p.provenance["rule"] == "spread"
     p = build_t_partition(2, {3, 4}, 12)
     assert is_T_partition(p, {3, 4})
     assert verify(p).valid
+    assert p.provenance["rule"] == "gcd-split"
 
 
 def test_build_over_gf3():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import vspart.gf
 from vspart.dioph import TypeSolution, annotate, classify_gf2_23, solve
 from vspart.errors import BudgetExceeded, NotASolution
 
@@ -50,6 +51,17 @@ def test_solve_complete_against_box_scan(q, n, dims):
 def test_solve_budget():
     with pytest.raises(BudgetExceeded):
         solve(2, 12, (1, 2), budget=5)
+
+
+def test_solve_validates_q_without_field_tables(monkeypatch):
+    def no_tables(p, e):
+        raise AssertionError("solve built field tables")
+
+    monkeypatch.setattr(vspart.gf, "make_field", no_tables)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError):
+            solve(q, 3, (1,))
+    assert [s.x for s in solve(256, 2, (1, 2))] == [(0, 1), (257, 0)]
 
 
 def test_solve_validates_dims():

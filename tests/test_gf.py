@@ -60,6 +60,14 @@ def test_field_from_order():
         field_from_order(1)
 
 
+def test_field_from_order_guards_before_factoring():
+    # A prime near 2^61 would take minutes of trial division.
+    with pytest.raises(FieldTooLarge):
+        field_from_order(2**61 - 1)
+    with pytest.raises(FieldTooLarge):
+        field_from_order(2**21)
+
+
 FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]
 
 
