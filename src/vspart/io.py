@@ -58,6 +58,8 @@ def doc_to_partition(doc: dict, allow_noncanonical: bool = False) -> Partition:
             "modulus does not match the canonical modulus for these field parameters"
         )
     n = int(doc["n"])
+    if n < 1:
+        raise ValueError(f"ambient dimension n must be positive, got {n}")
     raw = [[ [int(x) for x in row] for row in comp] for comp in doc["components"]]
     comps = [canonicalize(rows, field, n) for rows in raw]
     canonical = all(

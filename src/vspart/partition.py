@@ -28,12 +28,14 @@ from .linalg import (
     full_space,
     meet,
     nonzero_mask,
+    subspace_vector_codes,
     vec_add,
     vec_scale,
 )
 
-# Above this ambient size, verification replaces the full cover scan with
-# pairwise meets plus the counting identity (an equivalent cover proof).
+# Up to this ambient size q^n, verification marks every component's vector
+# codes in one q^n-byte array (pairwise masks only to name a failing pair);
+# above it, pairwise meets plus the counting identity prove the cover.
 FULL_SCAN_LIMIT = 1 << 20
 
 
@@ -142,7 +144,7 @@ class VerificationReport:
                 f"components {self.offending_pair[0]} and {self.offending_pair[1]} "
                 f"share the nonzero vector {self.witness}"
             )
-        if not self.cover_ok:
+        if not self.cover_ok and self.uncovered is not None:
             return f"vector {self.uncovered} is not covered"
         return "component sizes do not account for every nonzero vector"
 
@@ -154,32 +156,27 @@ def trivial_partition(field: FieldSpec, n: int) -> Partition:
 def verify(p: Partition) -> VerificationReport:
     """Check the partition property: pairwise trivial meets and full cover.
 
-    For ambient sizes up to 2^20 this scans bit masks of the component
-    vector sets, pinpointing an offending pair or an uncovered vector.
-    Beyond that it proves the cover from pairwise meets plus the counting
-    identity, which is equivalent.
+    For ambient sizes up to FULL_SCAN_LIMIT this is one pass: the vector
+    codes of every component are marked in a byte per vector of V_n(q),
+    stopping at the first code marked twice; the lowest unmarked nonzero
+    code is the uncovered vector.  Only when a code repeats does the
+    pairwise mask scan run, to name the first overlapping pair in nested
+    order and their lowest shared vector.  Beyond FULL_SCAN_LIMIT it proves
+    the cover from pairwise meets plus the counting identity, which is
+    equivalent.
     """
     field, n = p.field, p.n
     q = field.q
     counting_ok = sum(q**c.dim - 1 for c in p.components) == q**n - 1
     if q**n <= FULL_SCAN_LIMIT:
-        masks = [nonzero_mask(c) for c in p.components]
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                overlap = masks[i] & masks[j]
-                if overlap:
-                    code = (overlap & -overlap).bit_length() - 1
-                    return VerificationReport(
-                        False, p.r, counting_ok, False, False,
-                        offending_pair=(i, j), witness=decode_vector(code, q, n),
-                    )
-        union = 0
-        for m in masks:
-            union |= m
-        full = (1 << q**n) - 2
-        missing = full & ~union
-        if missing:
-            code = (missing & -missing).bit_length() - 1
+        seen = bytearray(q**n)
+        for c in p.components:
+            for code in subspace_vector_codes(c):
+                if seen[code]:
+                    return _first_overlap(p, counting_ok)
+                seen[code] = 1
+        code = seen.find(0, 1)
+        if code >= 0:
             return VerificationReport(
                 False, p.r, counting_ok, True, False, uncovered=decode_vector(code, q, n)
             )
@@ -193,6 +190,22 @@ def verify(p: Partition) -> VerificationReport:
                     offending_pair=(i, j), witness=m.basis[0],
                 )
     return VerificationReport(counting_ok, p.r, counting_ok, True, counting_ok)
+
+
+def _first_overlap(p: Partition, counting_ok: bool) -> VerificationReport:
+    """The failure report for overlapping components: the first pair (i, j)
+    in nested-loop order and the lowest vector code they share."""
+    masks = [nonzero_mask(c) for c in p.components]
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            overlap = masks[i] & masks[j]
+            if overlap:
+                code = (overlap & -overlap).bit_length() - 1
+                return VerificationReport(
+                    False, p.r, counting_ok, False, False,
+                    offending_pair=(i, j), witness=decode_vector(code, p.field.q, p.n),
+                )
+    raise AssertionError("a repeated vector code but no overlapping pair")
 
 
 def type_of(p: Partition) -> PartitionType:

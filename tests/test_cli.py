@@ -196,3 +196,19 @@ def test_search_has_no_threads_option(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["search", "--q", "2", "--n", "4", "--T", "2", "--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["bounds"], ["induce", "--w", "1"], ["code", "--check"], ["design", "--check"]],
+)
+def test_nonpositive_dimension_is_usage_error(tmp_path, capsys, n, argv):
+    f = tmp_path / "bad.part"
+    doc = {"format": "vspart-partition", "version": 1, "p": 2, "e": 1,
+           "modulus": [0, 1], "n": n, "components": []}
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: ambient dimension n must be positive, got {n}"]

@@ -1,8 +1,10 @@
 """Partition model: verification, induction, refinement, bounds, file format."""
 
+import random
+
 import pytest
 
-from vspart.construct import spread
+from vspart.construct import lift, near_spread, spread
 from vspart.errors import (
     InvalidSubPartition,
     NotAComponent,
@@ -11,10 +13,17 @@ from vspart.errors import (
 )
 from vspart.gf import make_field
 from vspart.io import dumps, loads, read_partition, write_partition
-from vspart.linalg import canonicalize, coordinate_subspace, enumerate_subspaces
+from vspart.linalg import (
+    canonicalize,
+    coordinate_subspace,
+    decode_vector,
+    enumerate_subspaces,
+    subspace_vector_codes,
+)
 from vspart.partition import (
     Partition,
     PartitionType,
+    VerificationReport,
     bound_report,
     induce,
     is_T_partition,
@@ -110,6 +119,103 @@ def test_verify_large_ambient_path():
         assert not verify(broken).valid
     finally:
         pmod.FULL_SCAN_LIMIT = old
+
+
+def test_verify_large_ambient_path_uncounted_cover():
+    # Disjoint components that miss vectors fail only the counting identity
+    # on the pairwise-meet route, which names no uncovered vector.
+    import vspart.partition as pmod
+
+    s = spread(2, 4, 2)
+    old = pmod.FULL_SCAN_LIMIT
+    pmod.FULL_SCAN_LIMIT = 1
+    try:
+        rep = verify(Partition(GF2, 4, s.components[1:]))
+    finally:
+        pmod.FULL_SCAN_LIMIT = old
+    assert not rep.valid and rep.disjoint_ok and not rep.cover_ok
+    assert rep.uncovered is None
+    assert rep.describe() == "component sizes do not account for every nonzero vector"
+
+
+def _reference_verify(p):
+    """The pairwise mask scan: first overlapping pair in nested order, else
+    the lowest uncovered code."""
+    q, n = p.field.q, p.n
+    counting_ok = sum(q**c.dim - 1 for c in p.components) == q**n - 1
+    masks = []
+    for c in p.components:
+        m = 0
+        for code in subspace_vector_codes(c):
+            m |= 1 << code
+        masks.append(m)
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            overlap = masks[i] & masks[j]
+            if overlap:
+                code = (overlap & -overlap).bit_length() - 1
+                return VerificationReport(
+                    False, p.r, counting_ok, False, False,
+                    offending_pair=(i, j), witness=decode_vector(code, q, n),
+                )
+    union = 0
+    for m in masks:
+        union |= m
+    missing = ((1 << q**n) - 2) & ~union
+    if missing:
+        code = (missing & -missing).bit_length() - 1
+        return VerificationReport(
+            False, p.r, counting_ok, True, False, uncovered=decode_vector(code, q, n)
+        )
+    return VerificationReport(counting_ok, p.r, counting_ok, True, True)
+
+
+def _random_subspace(rng, field, n):
+    while True:
+        dim = rng.randint(1, n - 1)
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)]
+        sub = canonicalize(rows, field, n)
+        if sub.dim:
+            return sub
+
+
+def test_verify_matches_pairwise_mask_oracle():
+    bases = [
+        spread(2, 4, 2), spread(2, 6, 2), spread(2, 6, 3), near_spread(2, 5, 2),
+        lines_partition(GF3, 3), spread(3, 4, 2), near_spread(3, 4, 1),
+        spread(4, 4, 2), lines_partition(make_field(2, 2), 3),
+    ]
+    rng = random.Random(20090)
+    branches = set()
+    for case in range(300):
+        base = bases[case % len(bases)]
+        comps = list(base.components)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(("drop", "duplicate", "replace"))
+            k = rng.randrange(len(comps))
+            if op == "drop" and len(comps) > 1:
+                del comps[k]
+            elif op == "duplicate":
+                comps.append(comps[k])
+            else:
+                comps[k] = _random_subspace(rng, base.field, base.n)
+        p = Partition(base.field, base.n, tuple(comps))
+        rep = verify(p)
+        assert rep == _reference_verify(p)
+        if not rep.valid:
+            branches.add((p.field.q, "uncovered" if rep.disjoint_ok else "overlap"))
+    assert branches == {(q, b) for q in (2, 3, 4) for b in ("overlap", "uncovered")}
+
+
+def test_verify_success_path_builds_no_masks(monkeypatch):
+    import vspart.partition as pmod
+
+    def no_masks(s):
+        raise AssertionError("verify built a component mask")
+
+    monkeypatch.setattr(pmod, "nonzero_mask", no_masks)
+    assert verify(spread(2, 8, 2)).valid
+    assert verify(lift(near_spread(3, 4, 2), 2).partition).valid
 
 
 # ---------------------------------------------------------------------------
