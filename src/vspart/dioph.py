@@ -6,11 +6,18 @@ enumerates the non-negative solutions for a fixed dimension list and
 annotates each with the stack of known necessary conditions.  Passing
 every flag never asserts that a partition exists; failing any flag proves
 it does not.
+
+Neither enumeration tries a count and tests it afterwards: `solve` steps
+the last two counts through the one residue class that can balance the
+equation, and the hyperplane-split flag is a bounded knapsack whose
+weights divide one another, so each count steps through one residue class
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotASolution
@@ -46,7 +53,7 @@ FLAG_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSolution:
     """A non-negative solution of the counting equation, optionally annotated."""
 
@@ -90,8 +97,10 @@ def _validate_dims(n: int, dims: Sequence[int]) -> Tuple[int, ...]:
 def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> List[TypeSolution]:
     """All non-negative solutions of sum (q^{n_i} - 1) x_i = q^n - 1.
 
-    Complete by bounded nested enumeration, with exact divisibility at the
-    last coordinate; results are in ascending lexicographic order.
+    Complete by bounded nested enumeration; results are in ascending
+    lexicographic order.  The last two unknowns are solved exactly: with
+    g = gcd(t, u), t x + u y = rem has solutions only when g divides rem,
+    and then x runs through one residue class modulo u / g and y follows.
     """
     _prime_power(q)  # rejects a bad q without building field tables
     dims = _validate_dims(n, dims)
@@ -99,15 +108,29 @@ def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> Li
     target = q**n - 1
     out: List[TypeSolution] = []
 
+    def reserve(count: int) -> None:
+        if len(out) + count > budget:
+            raise BudgetExceeded(f"more than {budget} solutions")
+
+    last = terms[-1]
+    if len(terms) == 1:
+        if target % last == 0:
+            reserve(1)
+            out.append(TypeSolution(q, n, dims, (target // last,)))
+        return out
+    t = terms[-2]
+    g = gcd(t, last)
+    step = last // g
+    inverse = pow(t // g, -1, step)
+
     def rec(i: int, rem: int, prefix: Tuple[int, ...]) -> None:
-        if i == len(terms) - 1:
-            if rem % terms[i] == 0:
-                if len(out) >= budget:
-                    raise BudgetExceeded(f"more than {budget} solutions")
-                out.append(TypeSolution(q, n, dims, prefix + (rem // terms[i],)))
-            return
-        for x in range(rem // terms[i] + 1):
-            rec(i + 1, rem - x * terms[i], prefix + (x,))
+        if i < len(terms) - 2:
+            for x in range(rem // terms[i] + 1):
+                rec(i + 1, rem - x * terms[i], prefix + (x,))
+        elif rem % g == 0:
+            xs = range((rem // g) * inverse % step, rem // t + 1, step)
+            reserve(len(xs))
+            out.extend(TypeSolution(q, n, dims, prefix + (x, (rem - x * t) // last)) for x in xs)
 
     rec(0, target, ())
     return out
@@ -122,46 +145,58 @@ def _hyperplane_splittable(
     full dimension n_i and b_i in dimension n_i - 1, such that the induced
     counts solve the equation at n - 1.  With depth > 1 the induced counts
     must recursively pass the same test.
+
+    As a bounded knapsack: over the base where every component drops a
+    dimension, each component inside adds w_i = (q - 1) q^{n_i - 1}, and the
+    a_i must add exactly q^{n-1} - 1 minus the base.  The dims increase
+    strictly, so w_i divides w_{i+1}: a_i runs through one residue class
+    modulo q^{n_{i+1} - n_i}, bounded by what the later counts can still
+    add, and the last a_i follows.
     """
-    target = q ** (n - 1) - 1
     k = len(dims)
-    inside = [q**d - 1 for d in dims]
-    dropped = [q ** (d - 1) - 1 for d in dims]
+    w = [(q - 1) * q ** (d - 1) for d in dims]
+    room = [0] * (k + 1)  # room[i]: the most that a_i, ..., a_{k-1} can add
+    for i in range(k - 1, -1, -1):
+        room[i] = room[i + 1] + x[i] * w[i]
+    need = q ** (n - 1) - 1 - sum(xi * (q ** (d - 1) - 1) for d, xi in zip(dims, x))
+
+    def induced_splittable(split: Tuple[int, ...]) -> bool:
+        counts: Dict[int, int] = {}
+        for d, xi, ai in zip(dims, x, split):
+            counts[d] = counts.get(d, 0) + ai
+            if d - 1 >= 1:
+                counts[d - 1] = counts.get(d - 1, 0) + (xi - ai)
+        induced_dims = tuple(sorted(d for d, c in counts.items() if c > 0))
+        if not induced_dims:
+            return q ** (n - 1) == 1
+        induced_x = tuple(counts[d] for d in induced_dims)
+        return _hyperplane_splittable(q, induced_dims, induced_x, n - 1, depth - 1)
 
     def rec(i: int, rem: int, split: Tuple[int, ...]) -> bool:
-        if rem < 0:
-            return False
-        if i == k:
-            if rem != 0:
-                return False
-            if depth <= 1:
-                return True
-            counts: Dict[int, int] = {}
-            for d, xi, ai in zip(dims, x, split):
-                counts[d] = counts.get(d, 0) + ai
-                if d - 1 >= 1:
-                    counts[d - 1] = counts.get(d - 1, 0) + (xi - ai)
-            induced_dims = tuple(sorted(d for d, c in counts.items() if c > 0))
-            if not induced_dims:
-                return target == 0
-            induced_x = tuple(counts[d] for d in induced_dims)
-            return _hyperplane_splittable(q, induced_dims, induced_x, n - 1, depth - 1)
-        for a in range(x[i] + 1):
-            b = x[i] - a
-            if rec(i + 1, rem - a * inside[i] - b * dropped[i], split + (a,)):
-                return True
-        return False
+        if i == k - 1:
+            a, left = divmod(rem, w[i])
+            return left == 0 and 0 <= a <= x[i] and (depth <= 1 or induced_splittable(split + (a,)))
+        step = w[i + 1] // w[i]
+        lo = max(0, -((room[i + 1] - rem) // w[i]))
+        start = lo + (rem // w[i] - lo) % step
+        return any(
+            rec(i + 1, rem - a * w[i], split + (a,))
+            for a in range(start, min(x[i], rem // w[i]) + 1, step)
+        )
 
-    return rec(0, target, ())
+    return need >= 0 and need % w[0] == 0 and rec(0, need, ())
 
 
 def annotate(sol: TypeSolution, hyperplane_depth: int = 1) -> TypeSolution:
     """Attach the full stack of necessary-condition flags to a solution.
 
-    Raises NotASolution if the multiplicities do not solve the counting
-    equation for (q, n, dims).
+    Raises ValueError if q is not a prime power or the dims are not
+    strictly increasing in 1..n, and NotASolution if the multiplicities do
+    not solve the counting equation for (q, n, dims).
     """
-    q, n, dims, x = sol.q, sol.n, sol.dims, sol.x
+    q, n, x = sol.q, sol.n, sol.x
+    _prime_power(q)
+    dims = _validate_dims(n, sol.dims)
     if len(dims) != len(x) or any(v < 0 for v in x):
         raise NotASolution("malformed multiplicity vector")
     if sum(xi * (q**d - 1) for d, xi in zip(dims, x)) != q**n - 1:

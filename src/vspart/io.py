@@ -46,21 +46,41 @@ def write_partition(p: Partition, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps(p), encoding="utf-8")
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # a bool is not an integer here
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _basis_rows(comp, i: int) -> list:
+    for row in _list(comp, f"component {i}"):
+        if not all(type(x) is int for x in _list(row, f"a row of component {i}")):
+            raise ValueError(f"the entries of component {i} must be integers")
+    return comp
+
+
 def doc_to_partition(doc: dict, allow_noncanonical: bool = False) -> Partition:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError("not a partition document")
     missing = {"p", "e", "modulus", "n", "components"} - set(doc)
     if missing:
         raise ValueError(f"partition document lacks fields: {sorted(missing)}")
-    field = make_field(int(doc["p"]), int(doc["e"]))
-    if list(field.modulus) != [int(c) for c in doc["modulus"]]:
+    field = make_field(_integer(doc["p"], "p"), _integer(doc["e"], "e"))
+    modulus = [_integer(c, "a modulus coefficient") for c in _list(doc["modulus"], "modulus")]
+    if list(field.modulus) != modulus:
         raise ValueError(
             "modulus does not match the canonical modulus for these field parameters"
         )
-    n = int(doc["n"])
+    n = _integer(doc["n"], "n")
     if n < 1:
         raise ValueError(f"ambient dimension n must be positive, got {n}")
-    raw = [[ [int(x) for x in row] for row in comp] for comp in doc["components"]]
+    raw = [_basis_rows(comp, i) for i, comp in enumerate(_list(doc["components"], "components"))]
     comps = [canonicalize(rows, field, n) for rows in raw]
     canonical = all(
         list(map(list, c.basis)) == rows for c, rows in zip(comps, raw)

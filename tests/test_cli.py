@@ -212,3 +212,31 @@ def test_nonpositive_dimension_is_usage_error(tmp_path, capsys, n, argv):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: ambient dimension n must be positive, got {n}"]
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("components", 5, "components must be a list, not int"),
+        ("components", [5], "component 0 must be a list, not int"),
+        ("components", [[5]], "a row of component 0 must be a list, not int"),
+        ("components", [[[None, 1]]], "the entries of component 0 must be integers"),
+        ("modulus", 3, "modulus must be a list, not int"),
+        ("n", None, "n must be an integer, not NoneType"),
+        ("n", "2", "n must be an integer, not str"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["bounds"], ["induce", "--w", "1"], ["code", "--check"], ["design", "--check"]],
+)
+def test_malformed_partition_file_is_usage_error(tmp_path, capsys, key, value, message, argv):
+    f = tmp_path / "bad.part"
+    doc = {"format": "vspart-partition", "version": 1, "p": 2, "e": 1,
+           "modulus": [0, 1], "n": 2, "components": [[[0, 1]], [[1, 0]], [[1, 1]]]}
+    doc[key] = value
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]

@@ -1,11 +1,13 @@
 """Count-vector enumeration and the necessary-condition flags."""
 
 import itertools
+import random
+from typing import Dict, Tuple
 
 import pytest
 
 import vspart.gf
-from vspart.dioph import TypeSolution, annotate, classify_gf2_23, solve
+from vspart.dioph import TypeSolution, _hyperplane_splittable, annotate, classify_gf2_23, solve
 from vspart.errors import BudgetExceeded, NotASolution
 
 
@@ -39,7 +41,15 @@ def test_solve_worked_examples(q, n, dims, expected):
     [(2, n, dims) for n in range(3, 11) for dims in [(1, 2), (2, 3)]]
     + [(2, n, dims) for n in range(3, 9) for dims in [(1, 2, 3), (2, 3, 4)]]
     + [(3, n, dims) for n in range(2, 7) for dims in [(1, 2), (2, 3)]]
-    + [(4, 4, (1, 2)), (5, 3, (1, 2, 3))],
+    + [(4, 4, (1, 2)), (5, 3, (1, 2, 3))]
+    + [(q, n, (d,)) for q, n in [(2, 6), (3, 4), (5, 2)] for d in range(1, n + 1)]
+    + [(q, n, (1, 2, 3)) for q, n in [(3, 5), (4, 4), (5, 3), (7, 3), (8, 3), (9, 3)]]
+    # gcd(q^d1 - 1, q^d2 - 1) > 1: g may not divide the remainder, and the
+    # residue class of the first count steps by more than 1.
+    + [(2, n, (2, 4)) for n in range(4, 11)]
+    + [(2, n, (3, 6)) for n in range(6, 13)]
+    + [(4, n, (1, 2)) for n in range(2, 6)]
+    + [(3, n, (2, 4)) for n in range(4, 8)],
 )
 def test_solve_complete_against_box_scan(q, n, dims):
     dims = tuple(d for d in dims if d <= n)
@@ -51,6 +61,15 @@ def test_solve_complete_against_box_scan(q, n, dims):
 def test_solve_budget():
     with pytest.raises(BudgetExceeded):
         solve(2, 12, (1, 2), budget=5)
+
+
+@pytest.mark.parametrize("q,n,dims", [(2, 10, (2, 3)), (2, 8, (2, 4)), (3, 5, (1, 2, 3)), (2, 6, (2,))])
+def test_solve_budget_edge(q, n, dims):
+    solutions = solve(q, n, dims)
+    assert solve(q, n, dims, budget=len(solutions)) == solutions
+    with pytest.raises(BudgetExceeded) as exc:
+        solve(q, n, dims, budget=len(solutions) - 1)
+    assert str(exc.value) == f"more than {len(solutions) - 1} solutions"
 
 
 def test_solve_validates_q_without_field_tables(monkeypatch):
@@ -78,6 +97,14 @@ def test_solve_validates_dims():
 def test_annotate_rejects_non_solutions():
     with pytest.raises(NotASolution):
         annotate(TypeSolution(2, 5, (2, 3), (2, 4)))
+
+
+def test_annotate_validates_dims():
+    for dims, x in [((3, 2), (1, 8)), ((2, 2), (8, 1)), ((0, 3), (8, 1)), ((2, 6), (8, 1)), ((), ())]:
+        with pytest.raises(ValueError):
+            annotate(TypeSolution(2, 5, dims, x))
+    with pytest.raises(ValueError):
+        annotate(TypeSolution(6, 1, (1,), (1,)))
 
 
 def test_annotate_excluded_case_n5():
@@ -112,6 +139,63 @@ def test_hyperplane_split_examples():
     # Depth-2 recursion stays consistent on a realizable type.
     deep = annotate(TypeSolution(2, 5, (2, 3), (8, 1)), hyperplane_depth=2)
     assert deep.flags["hyperplane_split"]
+
+
+def reference_hyperplane_splittable(
+    q: int, dims: Tuple[int, ...], x: Tuple[int, ...], n: int, depth: int
+) -> bool:
+    """Oracle: try every split a_i in 0..x_i and test the remainder."""
+    target = q ** (n - 1) - 1
+    k = len(dims)
+    inside = [q**d - 1 for d in dims]
+    dropped = [q ** (d - 1) - 1 for d in dims]
+
+    def rec(i: int, rem: int, split: Tuple[int, ...]) -> bool:
+        if rem < 0:
+            return False
+        if i == k:
+            if rem != 0:
+                return False
+            if depth <= 1:
+                return True
+            counts: Dict[int, int] = {}
+            for d, xi, ai in zip(dims, x, split):
+                counts[d] = counts.get(d, 0) + ai
+                if d - 1 >= 1:
+                    counts[d - 1] = counts.get(d - 1, 0) + (xi - ai)
+            induced_dims = tuple(sorted(d for d, c in counts.items() if c > 0))
+            if not induced_dims:
+                return target == 0
+            induced_x = tuple(counts[d] for d in induced_dims)
+            return reference_hyperplane_splittable(q, induced_dims, induced_x, n - 1, depth - 1)
+        for a in range(x[i] + 1):
+            b = x[i] - a
+            if rec(i + 1, rem - a * inside[i] - b * dropped[i], split + (a,)):
+                return True
+        return False
+
+    return rec(0, target, ())
+
+
+def test_hyperplane_split_matches_reference():
+    verdicts = set()
+    for q, n, dims in [(2, 8, (1, 2, 3)), (3, 6, (1, 2, 3)), (4, 5, (1, 2)), (2, 7, (2, 3))]:
+        for i, sol in enumerate(solve(q, n, dims)):
+            for depth in (1, 2, 3) if i % 15 == 0 else (1,):
+                got = _hyperplane_splittable(q, dims, sol.x, n, depth)
+                assert got == reference_hyperplane_splittable(q, dims, sol.x, n, depth), (sol, depth)
+                verdicts.add((depth, got))
+    # Vectors that need not solve the counting equation at all.
+    rng = random.Random(2009)
+    for _ in range(2000):
+        q, n = rng.randint(2, 4), rng.randint(1, 7)
+        dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))))
+        x = tuple(rng.randint(0, 9) for _ in dims)
+        depth = rng.randint(1, 3)
+        got = _hyperplane_splittable(q, dims, x, n, depth)
+        assert got == reference_hyperplane_splittable(q, dims, x, n, depth), (q, dims, x, n, depth)
+        verdicts.add((depth, got))
+    assert verdicts == {(d, v) for d in (1, 2, 3) for v in (False, True)}
 
 
 def test_flag_soundness_against_search_oracle():
