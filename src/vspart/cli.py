@@ -165,8 +165,7 @@ def _cmd_induce(args) -> int:
 
 def _cmd_search(args) -> int:
     if (args.type is None) == (args.T is None):
-        print("search needs exactly one of --type or --T", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("search needs exactly one of --type or --T")
     goal = PartitionType.parse(args.type) if args.type else _parse_dims(args.T)
     outcome = find_partition(args.q, args.n, goal, budget=args.budget)
     payload = {

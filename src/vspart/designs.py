@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple
 
 from .errors import TooLarge
 from .gf import FieldSpec
-from .linalg import decode_vector, encode_vector, vec_add
+from .linalg import decode_vector, encode_vector, subspace_vector_codes, vec_add
 from .partition import Partition
 
 DESIGN_POINT_LIMIT = 1 << 16
@@ -59,31 +59,22 @@ def design_from_partition(p: Partition) -> CosetDesign:
     total = q**p.n
     if total > DESIGN_POINT_LIMIT:
         raise TooLarge("design enumeration beyond the 2^16 point guard")
+    points = [decode_vector(v, q, p.n) for v in range(total)]
     classes: List[Tuple[Tuple[int, ...], ...]] = []
     for c in p.components:
-        member_codes = _member_codes(c, p.n)
-        seen = [False] * total
+        members = [points[m] for m in [0] + subspace_vector_codes(c)]
+        seen = bytearray(total)
         blocks = []
+        # Each block is found at its least point, so blocks come out sorted.
         for v in range(total):
             if seen[v]:
                 continue
-            vv = decode_vector(v, q, p.n)
-            block = sorted(
-                encode_vector(vec_add(field, vv, decode_vector(m, q, p.n)), q)
-                for m in member_codes
-            )
+            block = sorted(encode_vector(vec_add(field, points[v], m), q) for m in members)
             for code in block:
-                seen[code] = True
+                seen[code] = 1
             blocks.append(tuple(block))
-        blocks.sort()
         classes.append(tuple(blocks))
     return CosetDesign(field, p.n, tuple(classes))
-
-
-def _member_codes(subspace, n: int) -> List[int]:
-    from .linalg import subspace_vector_codes
-
-    return [0] + subspace_vector_codes(subspace)
 
 
 def verify_design(d: CosetDesign) -> DesignReport:

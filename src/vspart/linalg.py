@@ -201,11 +201,16 @@ def complement(s: Subspace) -> Subspace:
 
 
 def subspace_vector_codes(s: Subspace) -> List[int]:
-    """Integer codes of the nonzero vectors of s, unsorted."""
+    """Integer codes of the nonzero vectors of s.
+
+    The vector with basis coefficients (a_1, ..., a_d) sits at index
+    a_1 q^{d-1} + ... + a_d - 1, so `[0] + subspace_vector_codes(s)` maps
+    coefficient digits, first most significant, to vector codes.
+    """
     field, q, n = s.field, s.field.q, s.n
     if field.p == 2 and field.e == 1:
         codes = [0]
-        for row in s.basis:
+        for row in reversed(s.basis):
             rc = encode_vector(row, 2)
             codes += [c ^ rc for c in codes]
         return codes[1:]

@@ -55,10 +55,11 @@ def test_search_found_writes_file(tmp_path, capsys):
 
 
 def test_search_needs_exactly_one_goal(capsys):
-    code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "5")
-    assert code == 2
-    code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "5", "--type", "5x2", "--T", "2")
-    assert code == 2
+    for goal in [(), ("--type", "5x2", "--T", "2")]:
+        code, out, err = run_cli(capsys, "search", "--q", "2", "--n", "5", *goal)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: search needs exactly one of --type or --T"]
 
 
 def test_search_budget_exit(capsys):
@@ -145,6 +146,22 @@ def test_code_and_design(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "design", str(f), "--check")
     assert code == 0
     assert "5 resolution classes" in out
+
+
+@pytest.mark.parametrize(
+    "n,components",
+    [(2, []), (40, [[[0] * 39 + [1]]]), (4, [[[0, 0, 0, 1]], [[0, 0, 1, 0]], [[0, 0, 1, 1]]])],
+    ids=["empty_v2", "one_line_v40", "plane_lines_v4"],
+)
+def test_code_check_rejects_non_spanning_components(tmp_path, capsys, n, components):
+    f = tmp_path / "p.part"
+    doc = {"format": "vspart-partition", "version": 1, "p": 2, "e": 1,
+           "modulus": [0, 1], "n": n, "components": components}
+    f.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", str(f))[0] == 1
+    code, out, _ = run_cli(capsys, "code", str(f), "--check", "--json")
+    assert code == 1
+    assert json.loads(out)["check"]["perfect"] is False
 
 
 def test_usage_error_exit(capsys):

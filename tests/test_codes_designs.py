@@ -2,12 +2,19 @@
 
 import pytest
 
-from vspart.codes import code_from_partition, code_parameters, verify_perfect
-from vspart.construct import near_spread, spread
+from vspart.codes import MixedCode, code_from_partition, code_parameters, verify_perfect
+from vspart.construct import hyperplane_section, near_spread, spread
 from vspart.designs import design_from_partition, verify_design
 from vspart.errors import TooLarge
 from vspart.gf import make_field
-from vspart.linalg import canonicalize, enumerate_subspaces
+from vspart.linalg import (
+    canonicalize,
+    encode_vector,
+    enumerate_subspaces,
+    kernel_basis,
+    vec_add,
+    vec_scale,
+)
 from vspart.partition import Partition, trivial_partition
 
 GF2 = make_field(2, 1)
@@ -22,6 +29,61 @@ def corrupted_cover():
     s = spread(2, 4, 2)
     extra = canonicalize([s.components[0].basis[0]], GF2, 4)
     return Partition(GF2, 4, s.components + (extra,))
+
+
+def plane_lines():
+    """The three lines of a plane inside V_4: disjoint, but not spanning."""
+    lines = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)]
+    return Partition(GF2, 4, tuple(canonicalize([v], GF2, 4) for v in lines))
+
+
+def reference_code(p):
+    """Oracle: the sum-to-zero code by spanning the kernel coefficient tuples
+    and recombining every component's basis word by word."""
+    field, q = p.field, p.field.q
+    columns = [row for c in p.components for row in c.basis]
+    matrix = [[col[r] for col in columns] for r in range(p.n)]
+    coeff_vectors = [(0,) * len(columns)]
+    for kv in kernel_basis(matrix, field, len(columns)):
+        scaled = [vec_scale(field, s, kv) for s in field.elements()]
+        coeff_vectors = [vec_add(field, v, sv) for v in coeff_vectors for sv in scaled]
+    words = []
+    for coeffs in coeff_vectors:
+        word = []
+        offset = 0
+        for c in p.components:
+            y = (0,) * p.n
+            for j in range(c.dim):
+                y = vec_add(field, y, vec_scale(field, coeffs[offset + j], c.basis[j]))
+            offset += c.dim
+            word.append(encode_vector(y, q))
+        words.append(tuple(word))
+    return tuple(sorted(words))
+
+
+def pairwise_min_distance(words):
+    """Oracle: the minimum mixed Hamming distance over all pairs of words."""
+    dists = [
+        sum(1 for a, b in zip(u, w) if a != b)
+        for i, u in enumerate(words)
+        for w in words[i + 1:]
+    ]
+    return min(dists) if dists else None
+
+
+# Codes over q = 2, 3, 4, 5, valid and corrupted; sizes in the comments.
+CODE_CORPUS = {
+    "spread_2_4_2": lambda: spread(2, 4, 2),                                # 64
+    "lines_v3_gf2": lambda: lines_partition(GF2, 3),                        # 16
+    "lines_v2_gf3": lambda: lines_partition(make_field(3, 1), 2),           # 9
+    "lines_v2_gf4": lambda: lines_partition(make_field(2, 2), 2),           # 64
+    "lines_v2_gf5": lambda: lines_partition(make_field(5, 1), 2),           # 625
+    "corrupted_cover": corrupted_cover,                                     # 128
+    "plane_lines": plane_lines,                                             # 2
+    "trivial": lambda: trivial_partition(GF2, 3),                           # 1
+    "hyperplane_section_3_2_2": lambda: hyperplane_section(3, 2, 2),        # 6561
+}
+SMALL_CODES = [name for name in CODE_CORPUS if name != "hyperplane_section_3_2_2"]
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +145,41 @@ def test_perfect_near_spread_v5():
     assert rep.sphere_ok and rep.distance_ok
 
 
-def test_distance_routes_agree():
-    # The codes are closed under componentwise differences, so the pairwise
-    # minimum distance equals the minimum nonzero weight.
-    code = code_from_partition(spread(2, 4, 2))
-    pairwise = verify_perfect(code).min_distance
-    zero = (0,) * code.length
-    weights = [sum(1 for a in w if a != 0) for w in code.codewords if w != zero]
-    assert min(weights) == pairwise == 3
+@pytest.mark.parametrize("name", list(CODE_CORPUS))
+def test_codewords_match_reference(name):
+    p = CODE_CORPUS[name]()
+    code = code_from_partition(p)
+    assert code == MixedCode(p.field, p.n, tuple(c.dim for c in p.components), reference_code(p))
+
+
+@pytest.mark.parametrize("name", SMALL_CODES)
+def test_distance_routes_agree(name):
+    # The codes are closed under componentwise differences, so the minimum
+    # nonzero weight that verify_perfect reports is the pairwise distance.
+    code = code_from_partition(CODE_CORPUS[name]())
+    assert code.size <= 3000
+    pairwise = pairwise_min_distance(code.codewords)
+    assert verify_perfect(code).min_distance == pairwise
+    if name == "corrupted_cover":
+        assert pairwise == 2
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Partition(GF2, 2, ()),
+        Partition(GF2, 40, (canonicalize([(0,) * 39 + (1,)], GF2, 40),)),
+        plane_lines(),
+    ],
+    ids=["empty_v2", "one_line_v40", "plane_lines_v4"],
+)
+def test_non_spanning_input_is_not_perfect(p):
+    # The sphere equality and the distance can both hold on components that
+    # miss part of V; only the expected size catches it.
+    rep = verify_perfect(code_from_partition(p))
+    assert rep.sphere_ok and rep.distance_ok
+    assert not rep.expected_size_ok
+    assert not rep.perfect
 
 
 def test_cover_input_fails_perfection():

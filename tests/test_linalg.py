@@ -22,6 +22,7 @@ from vspart.linalg import (
     join,
     kernel_basis,
     meet,
+    subspace_vector_codes,
     vec_add,
     vec_scale,
     zero_space,
@@ -152,6 +153,20 @@ def test_enumerate_nonzero_gf3_line_scalar_multiples():
 def test_enumerate_nonzero_count():
     s = canonicalize([(1, 0, 0, 1), (0, 1, 1, 0)], GF2, 4)
     assert len(enumerate_nonzero(s)) == 3
+
+
+@pytest.mark.parametrize("field,n,d", [(GF2, 4, 2), (GF2, 5, 3), (GF3, 3, 2), (GF4, 3, 2)])
+def test_subspace_vector_codes_in_coefficient_digit_order(field, n, d):
+    # Index i of [0] + codes is the vector whose basis coefficients are the
+    # base-q digits of i, first digit most significant.
+    q = field.q
+    for s in enumerate_subspaces(field, n, d):
+        table = [0] + subspace_vector_codes(s)
+        for i, coeffs in enumerate(itertools.product(range(q), repeat=d)):
+            v = (0,) * n
+            for a, row in zip(coeffs, s.basis):
+                v = vec_add(field, v, vec_scale(field, a, row))
+            assert table[i] == encode_vector(v, q)
 
 
 def test_enumerate_nonzero_guard():
