@@ -200,6 +200,28 @@ def complement(s: Subspace) -> Subspace:
     return coordinate_subspace(field, n, free_cols)
 
 
+def span_codes(field: FieldSpec, n: int, rows: Sequence[int]) -> List[int]:
+    """Integer codes of the nonzero vectors spanned by independent rows.
+
+    The rows are vector codes.  The vector with coefficients (a_1, ..., a_d)
+    on the rows sits at index a_1 q^{d-1} + ... + a_d - 1, first coefficient
+    most significant.  GF(2) adds codes by XOR; other fields add coordinate
+    tuples.
+    """
+    q = field.q
+    if field.p == 2 and field.e == 1:
+        codes = [0]
+        for rc in reversed(rows):
+            codes += [c ^ rc for c in codes]
+        return codes[1:]
+    vectors = [(0,) * n]
+    for rc in rows:
+        row = decode_vector(rc, q, n)
+        scaled = [vec_scale(field, c, row) for c in range(q)]
+        vectors = [vec_add(field, v, sr) for v in vectors for sr in scaled]
+    return [encode_vector(v, q) for v in vectors if any(v)]
+
+
 def subspace_vector_codes(s: Subspace) -> List[int]:
     """Integer codes of the nonzero vectors of s.
 
@@ -207,26 +229,21 @@ def subspace_vector_codes(s: Subspace) -> List[int]:
     a_1 q^{d-1} + ... + a_d - 1, so `[0] + subspace_vector_codes(s)` maps
     coefficient digits, first most significant, to vector codes.
     """
-    field, q, n = s.field, s.field.q, s.n
-    if field.p == 2 and field.e == 1:
-        codes = [0]
-        for row in reversed(s.basis):
-            rc = encode_vector(row, 2)
-            codes += [c ^ rc for c in codes]
-        return codes[1:]
-    vectors = [(0,) * n]
-    for row in s.basis:
-        scaled = [vec_scale(field, c, row) for c in range(q)]
-        vectors = [vec_add(field, v, sr) for v in vectors for sr in scaled]
-    return [encode_vector(v, q) for v in vectors if any(v)]
+    q = s.field.q
+    return span_codes(s.field, s.n, [encode_vector(row, q) for row in s.basis])
+
+
+def codes_mask(codes: Iterable[int]) -> int:
+    """Bitmask with bit c set for each of the given codes c."""
+    m = 0
+    for c in codes:
+        m |= 1 << c
+    return m
 
 
 def nonzero_mask(s: Subspace) -> int:
     """Bitmask with one bit per nonzero vector of s, indexed by vector code."""
-    m = 0
-    for c in subspace_vector_codes(s):
-        m |= 1 << c
-    return m
+    return codes_mask(subspace_vector_codes(s))
 
 
 def enumerate_nonzero(s: Subspace) -> List[Vector]:
@@ -251,6 +268,30 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def echelon_bases(field: FieldSpec, n: int, d: int) -> List[Tuple[int, ...]]:
+    """The reduced echelon basis of every d-dimensional subspace of V_n(q).
+
+    Each basis is the tuple of its row codes, rows in pivot order, and the
+    list is sorted.  Row codes are base-q with the first coordinate most
+    significant, so this is the order of Subspace.sort_key for every q.
+    """
+    q = field.q
+    out: List[Tuple[int, ...]] = []
+    for pivots in itertools.combinations(range(n), d):
+        pivot_set = set(pivots)
+        row_choices = []
+        for pc in pivots:
+            row_codes = [q ** (n - 1 - pc)]
+            for j in range(pc + 1, n):
+                if j not in pivot_set:
+                    w = q ** (n - 1 - j)
+                    row_codes = [rc + a * w for rc in row_codes for a in field.elements()]
+            row_choices.append(row_codes)
+        out.extend(itertools.product(*row_choices))
+    out.sort()
+    return out
+
+
 def enumerate_subspaces(
     field: FieldSpec, n: int, d: int, budget: int | None = SUBSPACE_ENUM_BUDGET
 ) -> List[Subspace]:
@@ -262,27 +303,12 @@ def enumerate_subspaces(
     total = gaussian_binomial(n, d, field.q)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} subspaces exceed the budget {budget}")
-    if d == 0:
-        return [zero_space(field, n)]
+    q = field.q
     out = []
-    for pivots in itertools.combinations(range(n), d):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        template = [[0] * n for _ in range(d)]
-        for i, pc in enumerate(pivots):
-            template[i][pc] = 1
-        for values in itertools.product(field.elements(), repeat=len(free_cells)):
-            rows = [row[:] for row in template]
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            basis = tuple(tuple(r) for r in rows)
-            out.append(Subspace(field, n, basis, pivots))
-    out.sort(key=Subspace.sort_key)
+    for rows in echelon_bases(field, n, d):
+        basis = tuple(decode_vector(rc, q, n) for rc in rows)
+        pivots = tuple(row.index(1) for row in basis)
+        out.append(Subspace(field, n, basis, pivots))
     if len(out) != total:
         raise AssertionError(f"enumerated {len(out)} subspaces, expected {total}")
     return out

@@ -2,11 +2,21 @@
 
 The engine covers nonzero vectors with subspaces.  Cover state is a single
 arbitrary-precision bitmask indexed by vector code, so the hot loop is
-integer AND; candidate components are precomputed per dimension and grouped
-by their least nonzero vector.  Branching always extends the cover of the
-canonically least uncovered vector: any component through that vector whose
-mask avoids the covered set automatically has it as least member, so each
-partition is reached exactly once, in a deterministic order.
+integer AND.  Branching always extends the cover of the canonically least
+uncovered vector: any component through that vector whose mask avoids the
+covered set automatically has it as least member, so each partition is
+reached exactly once, in a deterministic order.
+
+Candidates are masks only.  Each dimension's table maps a least vector v
+to the masks of the subspaces whose least nonzero vector is v, in
+canonical basis order; it is built from the echelon bases in `linalg`
+and holds no Subspace values.  Placed masks become subspaces only when a
+cover completes.  Each search frame keeps per-depth filtered lists: for
+each (d, v) its children ask for, the masks of group (d, v) that avoid
+the frame's covered set.  A node scans its parent's list, which is
+usually far shorter than the table group, so a candidate an ancestor
+ruled out is never looked at again (the caching idea of Knuth's "Dancing
+Links").  Filtering keeps table order, so the search order is unchanged.
 
 Budget semantics: the node budget counts both tree expansions and generated
 candidate subspaces, and running out is always reported as its own outcome,
@@ -21,7 +31,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from .errors import TooLarge
 from .gf import FieldSpec, field_from_order
-from .linalg import Subspace, enumerate_subspaces, gaussian_binomial, nonzero_mask
+from .linalg import (
+    Subspace,
+    canonicalize,
+    codes_mask,
+    decode_vector,
+    echelon_bases,
+    gaussian_binomial,
+    span_codes,
+)
 from .partition import Partition, PartitionType, type_of
 from .partition import verify as verify_partition
 
@@ -76,27 +94,51 @@ class _Counter:
 
 
 class _CandidateIndex:
-    """Per-dimension candidate subspaces grouped by least nonzero vector."""
+    """Candidate masks per dimension, grouped by least nonzero vector.
+
+    A table is `{least vector code: [mask, ...]}` in canonical basis order.
+    Placed masks become Subspace values only when a cover completes, through
+    a memo shared by every cover the search completes.
+    """
 
     def __init__(self, field: FieldSpec, n: int, counter: _Counter):
         self.field = field
         self.n = n
         self.counter = counter
-        self._by_dim: Dict[int, Dict[int, List[Tuple[int, Subspace]]]] = {}
+        self._by_dim: Dict[int, Dict[int, List[int]]] = {}
+        self._subspaces: Dict[int, Subspace] = {}
 
-    def get(self, d: int) -> Dict[int, List[Tuple[int, Subspace]]]:
-        cached = self._by_dim.get(d)
-        if cached is None:
+    def get(self, d: int) -> Dict[int, List[int]]:
+        table = self._by_dim.get(d)
+        if table is None:
             # Charge the whole table against the node budget before building
             # it, so candidate generation cannot outrun the budget.
-            self.counter.charge(gaussian_binomial(self.n, d, self.field.q))
-            grouped: Dict[int, List[Tuple[int, Subspace]]] = {}
-            for s in enumerate_subspaces(self.field, self.n, d, budget=None):
-                mask = nonzero_mask(s)
-                least = (mask & -mask).bit_length() - 1
-                grouped.setdefault(least, []).append((mask, s))
-            self._by_dim[d] = cached = grouped
-        return cached
+            field, n = self.field, self.n
+            self.counter.charge(gaussian_binomial(n, d, field.q))
+            table = {}
+            for rows in echelon_bases(field, n, d):
+                # The last echelon row is the least nonzero vector of the span.
+                table.setdefault(rows[-1], []).append(codes_mask(span_codes(field, n, rows)))
+            self._by_dim[d] = table
+        return table
+
+    def subspace(self, mask: int) -> Subspace:
+        s = self._subspaces.get(mask)
+        if s is None:
+            q, n = self.field.q, self.n
+            vectors = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                vectors.append(decode_vector(low.bit_length() - 1, q, n))
+                rest ^= low
+            s = self._subspaces[mask] = canonicalize(vectors, self.field, n)
+        return s
+
+
+def _require_positive_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"ambient dimension n must be positive, got {n}")
 
 
 def _default_budget() -> int:
@@ -110,60 +152,101 @@ def _run(
     used: Dict[int, int],
     may_place: Callable[[int], bool],
     feasible: Optional[Callable[[int], bool]],
-    complete: Callable[[list], bool],
+    complete: Callable[[Callable[[], Tuple[Subspace, ...]]], bool],
     counter: _Counter,
     candidate_order: Optional[Callable[[list], list]],
 ) -> None:
     """Iterative depth-first exact cover.
 
     may_place(d) gates a dimension before its candidates are scanned,
-    feasible(points_left) prunes after a placement, and complete(placed)
-    consumes a full cover, returning True to stop the whole search.  The
-    per-dimension usage counts in `used` are kept in step with placements.
+    feasible(points_left) prunes after a placement, and complete(components)
+    consumes a full cover, returning True to stop the whole search;
+    components() returns the placed subspaces.  The per-dimension usage
+    counts in `used` are kept in step with placements.
+
+    Frame k is the node after k placements.  lists[k] maps each (d, v)
+    its children asked for to the masks of table group (d, v) that avoid
+    the frame's covered set, in table order.  A node scans its parent's
+    list; the root scans frame 0's, whose lists are the table groups.  A
+    missing list is filtered from the nearest ancestor's list, or from the
+    table, and cached at every frame between: frame j keeps what frame
+    j - 1 keeps minus the masks meeting the j-th placement.  Lists are
+    keyed by v << 6 | d (d <= n <= 20).
     """
     q = field.q
     full = (1 << q**n) - 2
     index = _CandidateIndex(field, n, counter)
+    size = {d: q**d - 1 for d in dims}
     covered = 0
     points_left = q**n - 1
-    placed: List[Tuple[int, Subspace, int]] = []
+    placed: List[Tuple[int, int]] = []
+    lists: List[Dict[int, Sequence[int]]] = [{}]
+
+    def filtered(k: int, d: int, v: int, key: int) -> Sequence[int]:
+        group = index.get(d).get(v, ())
+        if not group or not k:
+            # Frame 0 covers nothing, and an empty group stays empty.
+            lists[k][key] = group
+            return group
+        j = k
+        while j and key not in lists[j]:
+            j -= 1
+        if j:
+            group = lists[j][key]
+        while j < k:
+            c = placed[j][0]
+            j += 1
+            group = lists[j][key] = [m for m in group if not m & c]
+        return group
 
     def undo() -> None:
         nonlocal covered, points_left
-        mask, _, d = placed.pop()
+        mask, d = placed.pop()
         covered ^= mask
-        points_left += q**d - 1
+        points_left += size[d]
         used[d] -= 1
+
+    def components() -> Tuple[Subspace, ...]:
+        return tuple(index.subspace(mask) for mask, _ in placed)
 
     def choices():
         free = full & ~covered
         v = (free & -free).bit_length() - 1
+        cur = covered
+        up = max(len(placed) - 1, 0)
+        above = lists[up]
+        vkey = v << 6
         for d in dims:
             if not may_place(d):
                 continue
-            group = index.get(d).get(v, ())
+            key = vkey | d
+            # Read the parent's list inline; filtered() is the miss path.
+            group = above.get(key)
+            if group is None:
+                group = filtered(up, d, v, key)
             if candidate_order is not None:
                 group = candidate_order(list(group))
-            for mask, sub in group:
-                if mask & covered == 0:
-                    yield mask, sub, d
+            for mask in group:
+                if not mask & cur:
+                    yield mask, d
 
     stack = [choices()]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
+            lists.pop()
             if placed and len(placed) >= len(stack):
                 undo()
             continue
-        mask, sub, d = nxt
+        mask, d = nxt
         counter.bump()
         covered |= mask
-        points_left -= q**d - 1
+        points_left -= size[d]
         used[d] += 1
-        placed.append((mask, sub, d))
+        placed.append((mask, d))
         if covered == full:
-            stop = complete(placed)
+            stop = complete(components)
             undo()
             if stop:
                 return
@@ -171,6 +254,7 @@ def _run(
         if feasible is not None and not feasible(points_left):
             undo()
             continue
+        lists.append({})
         stack.append(choices())
 
 
@@ -199,8 +283,8 @@ def _find_by_type(
     used = {d: 0 for d in dims}
     found: List[Partition] = []
 
-    def complete(placed) -> bool:
-        found.append(Partition(field, n, tuple(s for _, s, _ in placed)))
+    def complete(components) -> bool:
+        found.append(Partition(field, n, components()))
         return True
 
     try:
@@ -292,10 +376,10 @@ def _find_by_dims(
         feas_memo[key] = ok
         return ok
 
-    def complete(placed) -> bool:
+    def complete(components) -> bool:
         if any(used[d] == 0 for d in dims):
             return False
-        found.append(Partition(field, n, tuple(s for _, s, _ in placed)))
+        found.append(Partition(field, n, components()))
         return True
 
     try:
@@ -319,16 +403,23 @@ def find_partition(
     A PartitionType goal asks for exact multiplicities; any other iterable
     of integers is a dimension-set goal (every listed dimension present,
     nothing else).  The default budget comes from the VSPART_BUDGET
-    environment variable.  Returns the canonically least match under the
+    environment variable.  ValueError is raised for n < 1 and for a
+    negative budget.  Returns the canonically least match under the
     branching order (dimensions descending, candidate bases in lex order),
-    or exhaustion, or a budget stop.  candidate_order is a testing hook
-    that reorders each candidate list; it cannot change an exhaustion
-    verdict.
+    or exhaustion, or a budget stop.  candidate_order is a testing hook:
+    it receives the list of candidate masks (bitmasks over vector codes,
+    in table order) that a node scans for one dimension and returns them
+    in the order to try.  It cannot change an exhaustion verdict.
     """
     field = field_from_order(q)
+    _require_positive_n(n)
     if q**n > SEARCH_SPACE_LIMIT:
         raise TooLarge(f"{q}^{n} exceeds the search guard 2^20")
-    counter = _Counter(_default_budget() if budget is None else budget)
+    if budget is None:
+        budget = _default_budget()
+    if budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {budget}")
+    counter = _Counter(budget)
     if isinstance(goal, PartitionType):
         return _find_by_type(field, n, goal, counter, candidate_order)
     dims = tuple(sorted(set(int(d) for d in goal)))
@@ -341,16 +432,18 @@ def enumerate_all(q: int, n: int) -> List[Partition]:
     """Every partition of V_n(q), each exactly once, in search order.
 
     Brute-force oracle for the invariant suites; guarded at q^n <= 2^12.
+    ValueError is raised for n < 1.
     """
     field = field_from_order(q)
+    _require_positive_n(n)
     if q**n > ENUMERATE_ALL_LIMIT:
         raise TooLarge(f"{q}^{n} exceeds the enumeration guard 2^12")
     dims = tuple(range(1, n + 1))
     used = {d: 0 for d in dims}
     out: List[Partition] = []
 
-    def complete(placed) -> bool:
-        out.append(Partition(field, n, tuple(s for _, s, _ in placed)))
+    def complete(components) -> bool:
+        out.append(Partition(field, n, components()))
         return False
 
     _run(field, n, dims, used, lambda d: True, None, complete, _Counter(None), None)
@@ -377,7 +470,8 @@ def conjecture_scan(q: int, n: int) -> ScanReport:
     """Scan every partition of V_n(q) for minimum-dimension counts below q^t + 1.
 
     The expectation is that no non-trivial partition falls below the bound;
-    any that does is returned as a counterexample.
+    any that does is returned as a counterexample.  ValueError is raised
+    for n < 1.
     """
     parts = enumerate_all(q, n)
     min_s: Dict[int, int] = {}

@@ -69,6 +69,29 @@ def test_search_budget_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env_budget",
+    [
+        (("enumerate", "--q", "2", "--n", "-1"), None),
+        (("enumerate", "--q", "2", "--n", "0"), None),
+        (("conjecture-scan", "--q", "2", "--n", "0"), None),
+        (("search", "--q", "2", "--n", "-1", "--type", "1x1"), None),
+        (("search", "--q", "2", "--n", "0", "--T", "1"), None),
+        (("search", "--q", "2", "--n", "3", "--type", "7x1", "--budget", "-1"), None),
+        (("search", "--q", "2", "--n", "3", "--type", "7x1"), "-5"),
+    ],
+)
+def test_search_commands_refuse_bad_n_and_budget(capsys, monkeypatch, argv, env_budget):
+    if env_budget is not None:
+        monkeypatch.setenv("VSPART_BUDGET", env_budget)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "must be" in lines[0]
+
+
 def test_solve_flags(capsys):
     code, out, _ = run_cli(capsys, "solve", "--q", "2", "--n", "5", "--dims", "2,3")
     assert code == 0

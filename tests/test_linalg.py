@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vspart.errors import BudgetExceeded, DimensionMismatch, TooLarge
 from vspart.gf import make_field
 from vspart.linalg import (
+    Subspace,
     canonicalize,
     complement,
     contains,
@@ -205,6 +206,30 @@ def test_enumerate_subspaces_sorted_canonically():
     subs = enumerate_subspaces(GF3, 3, 2)
     keys = [s.sort_key() for s in subs]
     assert keys == sorted(keys)
+
+
+def reference_subspaces(field, n, d):
+    """Reference enumeration: fill the free cells of every pivot pattern,
+    then sort by the flattened basis."""
+    out = []
+    for pivots in itertools.combinations(range(n), d):
+        free_cells = [
+            (i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivots
+        ]
+        for values in itertools.product(field.elements(), repeat=len(free_cells)):
+            rows = [[1 if j == pc else 0 for j in range(n)] for pc in pivots]
+            for (i, j), v in zip(free_cells, values):
+                rows[i][j] = v
+            out.append(Subspace(field, n, tuple(map(tuple, rows)), pivots))
+    return sorted(out, key=Subspace.sort_key)
+
+
+@pytest.mark.parametrize(
+    "field,n", [(GF2, 6), (GF3, 4), (GF4, 3), (make_field(5, 1), 3), (make_field(2, 3), 2)]
+)
+def test_enumerate_subspaces_matches_reference(field, n):
+    for d in range(n + 1):
+        assert enumerate_subspaces(field, n, d, budget=None) == reference_subspaces(field, n, d)
 
 
 def test_enumerate_subspaces_budget():

@@ -93,6 +93,26 @@ def test_exhausted_stable_under_candidate_order():
         assert found.status == FOUND and verify(found.partition).valid
 
 
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3)])
+def test_candidate_table_matches_enumerated_subspaces(q, n):
+    """Each table is nonzero_mask of enumerate_subspaces, grouped by least
+    vector in enumeration order, and each mask maps back to its subspace."""
+    from vspart.gf import field_from_order
+    from vspart.linalg import enumerate_subspaces, nonzero_mask
+    from vspart.search import _CandidateIndex, _Counter
+
+    field = field_from_order(q)
+    index = _CandidateIndex(field, n, _Counter(None))
+    for d in range(1, n + 1):
+        expected = {}
+        subspaces = enumerate_subspaces(field, n, d, budget=None)
+        for s in subspaces:
+            mask = nonzero_mask(s)
+            expected.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
+        assert index.get(d) == expected
+        assert [index.subspace(nonzero_mask(s)) for s in subspaces] == subspaces
+
+
 # ---------------------------------------------------------------------------
 # full enumeration
 # ---------------------------------------------------------------------------
