@@ -9,7 +9,7 @@ translation by any fixed vector permutes the blocks within each class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .errors import TooLarge
 from .gf import FieldSpec
@@ -83,37 +83,46 @@ def verify_design(d: CosetDesign) -> DesignReport:
     The pairs-once check runs through difference vectors: a pair {x, y}
     lies in a block of class i exactly when x - y belongs to component i,
     so it suffices that every nonzero vector belongs to exactly one class's
-    zero block.
+    zero block.  A point code outside 0..q^n-1 fails the class check and
+    the translation check.
     """
     field, n = d.field, d.n
     q = field.q
     total = q**n
     zero_blocks = []
     classes_ok = True
+    in_range = True
     block_sizes = []
     for cls in d.classes:
         sizes = {len(b) for b in cls}
-        covered: Dict[int, int] = {}
+        covered = bytearray(total)
+        ok = len(sizes) == 1
         for b in cls:
             for pt in b:
-                covered[pt] = covered.get(pt, 0) + 1
-        if len(sizes) != 1 or len(covered) != total or any(c != 1 for c in covered.values()):
+                if not 0 <= pt < total:
+                    ok = in_range = False
+                elif covered[pt]:
+                    ok = False
+                else:
+                    covered[pt] = 1
+        if not ok or 0 in covered:
             classes_ok = False
         size = sizes.pop() if len(sizes) == 1 else 0
         block_sizes.append(size)
         zero_blocks.append(next((set(b) for b in cls if 0 in b), set()))
-    pair_ok = all(
-        sum(1 for zb in zero_blocks if v in zb) == 1 for v in range(1, total)
-    )
-    translation_ok = True
-    for t in _translation_samples(total):
+    hits = [0] * total
+    for zb in zero_blocks:
+        for v in zb:
+            if 0 < v < total:
+                hits[v] += 1
+    pair_ok = hits.count(1) == total - 1
+    translation_ok = in_range
+    for t in _translation_samples(total) if in_range else ():
         tv = decode_vector(t, q, n)
+        # The code permutation x -> x + t, computed once per sample.
+        shift = [encode_vector(vec_add(field, decode_vector(x, q, n), tv), q) for x in range(total)]
         for cls in d.classes:
-            translated = {
-                tuple(sorted(encode_vector(vec_add(field, decode_vector(x, q, n), tv), q) for x in b))
-                for b in cls
-            }
-            if translated != set(cls):
+            if {tuple(sorted([shift[x] for x in b])) for b in cls} != set(cls):
                 translation_ok = False
     return DesignReport(pair_ok, classes_ok, translation_ok, len(d.classes), tuple(block_sizes))
 

@@ -9,12 +9,19 @@ compared from the constant term upward, so every run agrees on the element
 labels.  For e = 1 the modulus is the placeholder x (never used).
 
 Polynomials over a field are tuples of element codes, constant term first.
+One routine, `_poly_mulmod`, multiplies two polynomials and reduces the
+product by a monic modulus.  It serves GF(p^e) over its prime subfield,
+`ExtField` over its base, and the irreducibility test (poly * 1 mod a
+candidate divisor).  One codec, `_digits`/`_undigits`, turns codes into
+digit lists and back.  Fields of order q <= 256 keep full add/mul/inv
+tables; the mul and inv tables come from the powers (antilog) and discrete
+logs of the least primitive element, so they cost O(q) raw products.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import FieldTooLarge, NotPrime
 
@@ -42,6 +49,42 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _digits(code: int, base: int, count: int) -> List[int]:
+    """The `count` base-`base` digits of code, least significant first."""
+    out = []
+    for _ in range(count):
+        code, d = divmod(code, base)
+        out.append(d)
+    return out
+
+
+def _undigits(digits: Sequence[int], base: int) -> int:
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
+def _poly_mulmod(field: FieldSpec, a: Sequence[int], b: Sequence[int], modulus: Poly) -> List[int]:
+    """a * b reduced by the monic modulus: its len(modulus) - 1 coefficients."""
+    add, mul = field.add, field.mul
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+    m = len(modulus) - 1
+    for k in range(len(prod) - 1, m - 1, -1):
+        c = prod[k]
+        if c:
+            c = field.neg(c)
+            shift = k - m
+            for i in range(m):
+                prod[shift + i] = add(prod[shift + i], mul(c, modulus[i]))
+    return prod[:m] + [0] * (m - len(prod))
+
+
 class FieldSpec:
     """The finite field GF(p^e) on element codes 0..q-1.
 
@@ -54,6 +97,8 @@ class FieldSpec:
         self.e = e
         self.q = p**e
         self.modulus = tuple(modulus)
+        # Products of e > 1 codes are digit polynomials over GF(p).
+        self._prime = self if e == 1 else FieldSpec(p, 1, (0, 1))
         self._add_table = None
         self._mul_table = None
         self._inv_table = None
@@ -64,57 +109,39 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         q = self.q
-        add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = mul[a].index(1)
-        self._add_table = add
-        self._mul_table = mul
-        self._inv_table = inv
-
-    def _digits(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def _from_digits(self, digits: list[int]) -> int:
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
+        self._add_table = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
+        # The powers of the least primitive element g: exp[i] = g^i.
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1 and len(exp) < q:
+                exp.append(x)
+                x = self._mul_raw(x, g)
+            if len(exp) == q - 1:
+                break
+        else:
+            raise ValueError(f"modulus {self.modulus} does not give a field of order {q}")
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp += exp  # so exp[la + lb] needs no reduction mod q - 1
+        logs = log[1:]
+        self._mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        self._inv_table = [0] + [exp[q - 1 - la] for la in logs]
 
     def _add_raw(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        da, db = self._digits(a), self._digits(b)
-        return self._from_digits([(x + y) % self.p for x, y in zip(da, db)])
+        p, e = self.p, self.e
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # Reduce by the monic modulus.
-        m = self.modulus
-        for k in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                shift = k - self.e
-                for i in range(self.e):
-                    prod[shift + i] = (prod[shift + i] - c * m[i]) % p
-        return self._from_digits(prod[: self.e])
+        p, e = self.p, self.e
+        prod = _poly_mulmod(self._prime, _digits(a, p, e), _digits(b, p, e), self.modulus)
+        return _undigits(prod, p)
 
     # -- public arithmetic ----------------------------------------------
 
@@ -128,7 +155,7 @@ class FieldSpec:
             return a
         if self.e == 1:
             return (-a) % self.p
-        return self._from_digits([(-d) % self.p for d in self._digits(a)])
+        return _undigits([(-d) % self.p for d in _digits(a, self.p, self.e)], self.p)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -181,60 +208,20 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
-# -- polynomial helpers over an arbitrary FieldSpec ------------------------
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(field: FieldSpec, a: Poly, b: Poly) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _poly_trim(out)
-
-def _poly_rem(field: FieldSpec, a, m: Poly) -> list[int]:
-    """Remainder of a modulo the monic polynomial m."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(_poly_trim(r)) - 1 >= dm and r:
-        k = len(r) - 1
-        c = r[k]
-        if c == 0:
-            r.pop()
-            continue
-        shift = k - dm
-        for i in range(dm + 1):
-            r[shift + i] = field.sub(r[shift + i], field.mul(c, m[i]))
-        r = _poly_trim(r)
-    return r
+# -- irreducible moduli over an arbitrary FieldSpec ------------------------
 
 
 def _monic_polys(field: FieldSpec, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, lex order on lower coefficients."""
-    q = field.q
-    for code in range(q**degree):
-        lower = []
-        c = code
-        for _ in range(degree):
-            lower.append(c % q)
-            c //= q
-        yield tuple(lower) + (1,)
+    for code in range(field.q**degree):
+        yield tuple(_digits(code, field.q, degree)) + (1,)
 
 
 def _poly_is_irreducible(field: FieldSpec, poly: Poly) -> bool:
     degree = len(poly) - 1
     for d in range(1, degree // 2 + 1):
         for divisor in _monic_polys(field, d):
-            if not _poly_rem(field, poly, divisor):
+            if not any(_poly_mulmod(field, poly, (1,), divisor)):
                 return False
     return True
 
@@ -256,19 +243,23 @@ def make_field(p: int, e: int) -> FieldSpec:
     """Build GF(p^e) with the canonical modulus.
 
     Raises NotPrime for composite p and FieldTooLarge beyond the desk-scale
-    guard p^e <= 2^20.  Results are cached, so equal parameters share tables.
+    guard p^e <= 2^20, checked first (without forming p^e for a huge e) so
+    huge parameters fail fast.  Results are cached, so equal parameters
+    share tables.
     """
+    if p < 2:
+        raise NotPrime(f"{p} is not prime")
+    # p >= 2, so e > 20 alone exceeds the guard.
+    if p > FIELD_ORDER_LIMIT or e > 20 or p**e > FIELD_ORDER_LIMIT:
+        raise FieldTooLarge(f"{p}^{e} exceeds the guard 2^20")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**e > FIELD_ORDER_LIMIT:
-        raise FieldTooLarge(f"{p}^{e} exceeds the guard 2^20")
     prime = FieldSpec(p, 1, (0, 1))
     if e == 1:
         return prime
-    modulus = lex_least_irreducible(prime, e)
-    return FieldSpec(p, e, modulus)
+    return FieldSpec(p, e, lex_least_irreducible(prime, e))
 
 
 def _prime_power(q: int) -> Tuple[int, int]:
@@ -331,20 +322,14 @@ class ExtField:
         return tuple(1 if i == j else 0 for i in range(self.degree))
 
     def element(self, code: int) -> Poly:
-        digits = []
-        q = self.base.q
-        for _ in range(self.degree):
-            digits.append(code % q)
-            code //= q
-        return tuple(digits)
+        return tuple(_digits(code, self.base.q, self.degree))
 
     def nonzero_elements(self) -> Iterator[Poly]:
         for code in range(1, self.order):
             yield self.element(code)
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        prod = _poly_rem(self.base, _poly_mul(self.base, a, b), self.modulus)
-        return tuple(prod) + (0,) * (self.degree - len(prod))
+        return tuple(_poly_mulmod(self.base, a, b, self.modulus))
 
     def scale(self, a: Poly, vector: Tuple[Poly, ...]) -> Tuple[Poly, ...]:
         """Multiply every coordinate of a vector over this field by a."""

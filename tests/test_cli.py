@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vspart
 from vspart.cli import run
 
 
@@ -280,3 +285,24 @@ def test_malformed_partition_file_is_usage_error(tmp_path, capsys, key, value, m
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "p,e",
+    [(2**61 - 1, 1), (3, 10**9), (4, 10**9)],
+)
+def test_huge_field_in_partition_file_fails_fast(tmp_path, p, e):
+    # The order guard runs before the primality test and before p**e, so a
+    # fresh process answers at once instead of hanging.
+    f = tmp_path / "huge.part"
+    doc = {"format": "vspart-partition", "version": 1, "p": p, "e": e,
+           "modulus": [0, 1], "n": 2, "components": []}
+    f.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(vspart.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vspart.cli", "verify", str(f)],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {p}^{e} exceeds the guard 2^20"]

@@ -4,7 +4,7 @@ import pytest
 
 from vspart.codes import MixedCode, code_from_partition, code_parameters, verify_perfect
 from vspart.construct import hyperplane_section, near_spread, spread
-from vspart.designs import design_from_partition, verify_design
+from vspart.designs import CosetDesign, design_from_partition, verify_design
 from vspart.errors import TooLarge
 from vspart.gf import make_field
 from vspart.linalg import (
@@ -258,3 +258,64 @@ def test_corpus_codes_and_designs_all_pass():
         if p.r >= 2:
             assert verify_perfect(code_from_partition(p)).perfect
         assert verify_design(design_from_partition(p)).valid
+
+
+def _with_class(d, i, blocks):
+    classes = list(d.classes)
+    classes[i] = tuple(blocks)
+    return CosetDesign(d.field, d.n, tuple(classes))
+
+
+def _report(d):
+    r = verify_design(d)
+    return (r.pair_ok, r.classes_ok, r.translation_ok, r.class_count, r.block_sizes)
+
+
+def test_design_out_of_range_point_fails_class_check():
+    # Point 15 replaced by 31 in class 0 of spread(2,4,2): 16 distinct codes,
+    # each once, but 31 is not a point of V_4(2).
+    d = design_from_partition(spread(2, 4, 2))
+    bad = _with_class(d, 0, [tuple(31 if x == 15 else x for x in b) for b in d.classes[0]])
+    assert _report(bad) == (True, False, False, 5, (4, 4, 4, 4, 4))
+    neg = _with_class(d, 0, [tuple(-1 if x == 15 else x for x in b) for b in d.classes[0]])
+    assert not verify_design(neg).classes_ok
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        # The last points of blocks 0 and 1 of class 0 swapped: not cosets.
+        ("swap", (False, True, False, 5, (4, 4, 4, 4, 4))),
+        # Class 2 shifted by x -> (x + 3) mod 16 on codes: not cosets.
+        ("shift", (False, True, False, 5, (4, 4, 4, 4, 4))),
+        # Point 15 replaced by 14 in class 0: a repeated point.
+        ("repeat", (True, False, False, 5, (4, 4, 4, 4, 4))),
+        # The last block of class 0 listed twice.
+        ("repeat_block", (True, False, True, 5, (4, 4, 4, 4, 4))),
+        # Blocks 0 and 1 of class 0 merged: uneven sizes.
+        ("uneven", (False, False, False, 5, (0, 4, 4, 4, 4))),
+    ],
+)
+def test_design_report_on_broken_classes(case, expected):
+    # Reports pinned from the dict-counting verifier this one replaced.
+    d = design_from_partition(spread(2, 4, 2))
+    c0 = d.classes[0]
+    if case == "swap":
+        b0, b1 = list(c0[0]), list(c0[1])
+        b0[-1], b1[-1] = b1[-1], b0[-1]
+        bad = _with_class(d, 0, [tuple(sorted(b0)), tuple(sorted(b1))] + list(c0[2:]))
+    elif case == "shift":
+        bad = _with_class(d, 2, [tuple(sorted((x + 3) % 16 for x in b)) for b in d.classes[2]])
+    elif case == "repeat":
+        bad = _with_class(d, 0, [tuple(14 if x == 15 else x for x in b) for b in c0])
+    elif case == "repeat_block":
+        bad = _with_class(d, 0, list(c0) + [c0[-1]])
+    else:
+        bad = _with_class(d, 0, [c0[0] + c0[1]] + list(c0[2:]))
+    assert _report(bad) == expected
+
+
+def test_design_reports_match_over_fields():
+    for args, sizes in [((2, 8, 2), (4,) * 85), ((3, 4, 2), (9,) * 10), ((4, 2, 1), (4,) * 5)]:
+        expected = (True, True, True, len(sizes), sizes)
+        assert _report(design_from_partition(spread(*args))) == expected
