@@ -14,14 +14,17 @@ product by a monic modulus.  It serves GF(p^e) over its prime subfield,
 `ExtField` over its base, and the irreducibility test (poly * 1 mod a
 candidate divisor).  One codec, `_digits`/`_undigits`, turns codes into
 digit lists and back.  Fields of order q <= 256 keep full add/mul/inv
-tables; the mul and inv tables come from the powers (antilog) and discrete
-logs of the least primitive element, so they cost O(q) raw products.
+tables; the add table is built from the rows of the table on one digit
+fewer, and the mul and inv tables come from the powers (antilog) and
+discrete logs of the least primitive element, so they cost O(q) raw
+products.  `FieldSpec.rows` hands out add and mul as `table[a][b]`: the
+tables themselves, or per-call views above the table limit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import FieldTooLarge, NotPrime
 
@@ -85,6 +88,50 @@ def _poly_mulmod(field: FieldSpec, a: Sequence[int], b: Sequence[int], modulus: 
     return prod[:m] + [0] * (m - len(prod))
 
 
+def _digit_add_table(p: int, e: int) -> List[List[int]]:
+    """Addition of e-digit base-p codes, digit by digit mod p.
+
+    Row a on k digits is row a // p on k - 1 digits, shifted up one digit,
+    with the prime-field row a % p added in the lowest digit.
+    """
+    prime = [[(a + b) % p for b in range(p)] for a in range(p)]
+    table = prime
+    for _ in range(e - 1):
+        table = [
+            [h * p + lo for h in table[a // p] for lo in prime[a % p]]
+            for a in range(len(table) * p)
+        ]
+    return table
+
+
+class _RawRow:
+    """Row a of a binary operation, computed per lookup."""
+
+    __slots__ = ("_op", "_a")
+
+    def __init__(self, op: Callable[[int, int], int], a: int):
+        self._op = op
+        self._a = a
+
+    def __getitem__(self, b: int) -> int:
+        return self._op(self._a, b)
+
+
+class _RawRows:
+    """Per-call stand-in for an operation table: rows[a][b] is op(a, b)."""
+
+    __slots__ = ("_op",)
+
+    def __init__(self, op: Callable[[int, int], int]):
+        self._op = op
+
+    def __getitem__(self, a: int) -> _RawRow:
+        return _RawRow(self._op, a)
+
+
+Rows = Union[List[List[int]], _RawRows]
+
+
 class FieldSpec:
     """The finite field GF(p^e) on element codes 0..q-1.
 
@@ -109,7 +156,7 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         q = self.q
-        self._add_table = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
+        self._add_table = _digit_add_table(self.p, self.e)
         # The powers of the least primitive element g: exp[i] = g^i.
         for g in range(1, q):
             exp, x = [1], g
@@ -144,6 +191,17 @@ class FieldSpec:
         return _undigits(prod, p)
 
     # -- public arithmetic ----------------------------------------------
+
+    def rows(self) -> Tuple[Rows, Rows]:
+        """(add, mul), each indexed as op[a][b].
+
+        Row access lets a caller fetch one row, such as mul[c] for a fixed
+        scalar c, and index it per coordinate without a method call.  Up to
+        the table limit these are the tables; above it, per-call views.
+        """
+        if self._add_table is not None:
+            return self._add_table, self._mul_table
+        return _RawRows(self._add_raw), _RawRows(self._mul_raw)
 
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:

@@ -5,7 +5,9 @@ row echelon basis (unit pivots, zeros above and below each pivot), which is
 unique per subspace, so two Subspace values are equal as sets exactly when
 they compare equal.  The integer encoding of a vector reads the coordinates
 as base-q digits with the first coordinate most significant, so tuple order
-and code order agree.
+and code order agree.  Arithmetic goes through the field's add and mul rows
+(`FieldSpec.rows`), and a meet reduces the smaller basis against the larger
+subspace's echelon basis.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ def _check_vectors(vectors: Iterable[Sequence[int]], field: FieldSpec, n: int) -
 
 
 def _rref(rows: List[List[int]], field: FieldSpec, n: int) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
+    add, mul = field.rows()
     m = rows
     pivots: List[int] = []
     r = 0
@@ -93,14 +96,16 @@ def _rref(rows: List[List[int]], field: FieldSpec, n: int) -> Tuple[Tuple[Vector
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        lead = m[r][c]
+        top = m[r]
+        lead = top[c]
         if lead != 1:
-            inv = field.inv(lead)
-            m[r] = [field.mul(inv, x) for x in m[r]]
+            scale = mul[field.inv(lead)]
+            top = m[r] = [scale[x] for x in top]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                scale = mul[field.neg(f)]
+                m[i] = [add[x][scale[y]] for x, y in zip(m[i], top)]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -144,26 +149,51 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     return canonicalize(a.basis + b.basis, a.field, a.n)
 
 
+def _residue(v: Sequence[int], s: Subspace) -> List[int]:
+    """v reduced modulo s: zero at s's pivots, and zero exactly when v is in s."""
+    field = s.field
+    add, mul = field.rows()
+    w = list(v)
+    for row, pc in zip(s.basis, s.pivots):
+        c = w[pc]
+        if c != 0:
+            scale = mul[field.neg(c)]
+            w = [add[x][scale[y]] for x, y in zip(w, row)]
+    return w
+
+
+def combination(field: FieldSpec, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> Vector:
+    """The sum of coeffs[i] * rows[i]; rows is non-empty."""
+    add, mul = field.rows()
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            scale = mul[c]
+            acc = [add[x][scale[y]] for x, y in zip(acc, row)]
+    return tuple(acc)
+
+
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed by the Zassenhaus double-block reduction."""
+    """Intersection: the combinations of the smaller basis whose residue
+    modulo the larger subspace is zero."""
     _require_same_ambient(a, b)
-    field, n = a.field, a.n
-    rows = [list(r) + list(r) for r in a.basis] + [list(r) + [0] * n for r in b.basis]
-    basis, _ = _rref(rows, field, 2 * n)
-    meet_rows = [row[n:] for row in basis if not any(row[:n])]
+    small, big = (a, b) if a.dim <= b.dim else (b, a)
+    field, n, k = a.field, a.n, small.dim
+    rows = [
+        _residue(row, big) + [1 if j == i else 0 for j in range(k)]
+        for i, row in enumerate(small.basis)
+    ]
+    basis, pivots = _rref(rows, field, n + k)
+    # Rows pivoting right of column n have zero residue: their last k
+    # entries span the coefficients of small's vectors that lie in big.
+    meet_rows = [combination(field, row[n:], small.basis) for row, pc in zip(basis, pivots) if pc >= n]
     return canonicalize(meet_rows, field, n)
 
 
 def contains(s: Subspace, v: Sequence[int]) -> bool:
     if len(v) != s.n:
         raise DimensionMismatch(f"vector of length {len(v)} in dimension {s.n}")
-    field = s.field
-    w = list(v)
-    for row, pc in zip(s.basis, s.pivots):
-        c = w[pc]
-        if c != 0:
-            w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
-    return not any(w)
+    return not any(_residue(v, s))
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], field: FieldSpec, ncols: int) -> List[Vector]:
@@ -206,7 +236,8 @@ def span_codes(field: FieldSpec, n: int, rows: Sequence[int]) -> List[int]:
     The rows are vector codes.  The vector with coefficients (a_1, ..., a_d)
     on the rows sits at index a_1 q^{d-1} + ... + a_d - 1, first coefficient
     most significant.  GF(2) adds codes by XOR; other fields add coordinate
-    tuples.
+    tuples through the field's rows, and encode the sums with the last row
+    as they form them.
     """
     q = field.q
     if field.p == 2 and field.e == 1:
@@ -214,12 +245,15 @@ def span_codes(field: FieldSpec, n: int, rows: Sequence[int]) -> List[int]:
         for rc in reversed(rows):
             codes += [c ^ rc for c in codes]
         return codes[1:]
+    if not rows:
+        return []
+    add, mul = field.rows()
+    multiples = [[[mul[c][x] for x in decode_vector(rc, q, n)] for c in range(q)] for rc in rows]
     vectors = [(0,) * n]
-    for rc in rows:
-        row = decode_vector(rc, q, n)
-        scaled = [vec_scale(field, c, row) for c in range(q)]
-        vectors = [vec_add(field, v, sr) for v in vectors for sr in scaled]
-    return [encode_vector(v, q) for v in vectors if any(v)]
+    for scaled in multiples[:-1]:
+        vectors = [tuple([add[x][y] for x, y in zip(v, sr)]) for v in vectors for sr in scaled]
+    codes = [encode_vector([add[x][y] for x, y in zip(v, sr)], q) for v in vectors for sr in multiples[-1]]
+    return codes[1:]
 
 
 def subspace_vector_codes(s: Subspace) -> List[int]:

@@ -23,14 +23,13 @@ from .linalg import (
     Subspace,
     Vector,
     canonicalize,
+    combination,
     complement,
     decode_vector,
     full_space,
     meet,
     nonzero_mask,
     subspace_vector_codes,
-    vec_add,
-    vec_scale,
 )
 
 # Up to this ambient size q^n, verification marks every component's vector
@@ -263,16 +262,10 @@ def refine(p: Partition, victim: Subspace, sub: Partition) -> Partition:
     if not verify(sub).valid:
         raise InvalidSubPartition("replacement is not a valid partition")
     field = p.field
-    lifted = []
-    for c in sub.components:
-        rows = []
-        for local in c.basis:
-            acc = (0,) * p.n
-            for coeff, brow in zip(local, victim.basis):
-                if coeff:
-                    acc = vec_add(field, acc, vec_scale(field, coeff, brow))
-            rows.append(acc)
-        lifted.append(canonicalize(rows, field, p.n))
+    lifted = [
+        canonicalize([combination(field, local, victim.basis) for local in c.basis], field, p.n)
+        for c in sub.components
+    ]
     comps = tuple(c for c in p.components if c != victim) + tuple(lifted)
     out = Partition(field, p.n, comps)
     report = verify(out)

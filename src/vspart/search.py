@@ -105,11 +105,11 @@ class _CandidateIndex:
         self.field = field
         self.n = n
         self.counter = counter
-        self._by_dim: Dict[int, Dict[int, List[int]]] = {}
+        self.tables: Dict[int, Dict[int, List[int]]] = {}
         self._subspaces: Dict[int, Subspace] = {}
 
     def get(self, d: int) -> Dict[int, List[int]]:
-        table = self._by_dim.get(d)
+        table = self.tables.get(d)
         if table is None:
             # Charge the whole table against the node budget before building
             # it, so candidate generation cannot outrun the budget.
@@ -119,7 +119,7 @@ class _CandidateIndex:
             for rows in echelon_bases(field, n, d):
                 # The last echelon row is the least nonzero vector of the span.
                 table.setdefault(rows[-1], []).append(codes_mask(span_codes(field, n, rows)))
-            self._by_dim[d] = table
+            self.tables[d] = table
         return table
 
     def subspace(self, mask: int) -> Subspace:
@@ -177,6 +177,11 @@ def _run(
     full = (1 << q**n) - 2
     index = _CandidateIndex(field, n, counter)
     size = {d: q**d - 1 for d in dims}
+    # Group (d, v) is empty when v >= q^(n-d+1): the least nonzero vector
+    # of a d-dimensional span has its leading 1 at coordinate n - d or
+    # later.  Such groups are skipped once their table is built, so the
+    # first index.get(d) still charges the table.
+    empty_from = {d: q ** (n - d + 1) for d in dims}
     covered = 0
     points_left = q**n - 1
     placed: List[Tuple[int, int]] = []
@@ -217,7 +222,7 @@ def _run(
         above = lists[up]
         vkey = v << 6
         for d in dims:
-            if not may_place(d):
+            if not may_place(d) or (v >= empty_from[d] and d in index.tables):
                 continue
             key = vkey | d
             # Read the parent's list inline; filtered() is the miss path.

@@ -97,6 +97,7 @@ def test_tables_match_schoolbook(q):
     add, mul = reference_tables(f.p, f.e, f.modulus)
     assert f._add_table == add
     assert f._mul_table == mul
+    assert f.rows() == (add, mul)
     assert f._inv_table == [0] + [row.index(1) for row in mul[1:]]
 
 
@@ -104,11 +105,12 @@ def test_tables_match_schoolbook(q):
 def test_products_above_table_limit_match_schoolbook(p, e):
     f = make_field(p, e)
     assert f._mul_table is None
+    add_rows, mul_rows = f.rows()
     rng = random.Random(p * 10 + e)
     for _ in range(500):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
-        assert f.mul(a, b) == schoolbook_mul(p, e, f.modulus, a, b)
-        assert f.add(a, b) == digit_add(p, e, a, b)
+        assert f.mul(a, b) == mul_rows[a][b] == schoolbook_mul(p, e, f.modulus, a, b)
+        assert f.add(a, b) == add_rows[a][b] == digit_add(p, e, a, b)
         if a:
             assert schoolbook_mul(p, e, f.modulus, a, f.inv(a)) == 1
 

@@ -1,16 +1,21 @@
 """Subspace canonicalization, lattice operations, enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vspart import partition
+from vspart.construct import spread
 from vspart.errors import BudgetExceeded, DimensionMismatch, TooLarge
-from vspart.gf import make_field
+from vspart.gf import field_from_order, make_field
+from vspart.io import dumps
 from vspart.linalg import (
     Subspace,
     canonicalize,
+    combination,
     complement,
     contains,
     coordinate_subspace,
@@ -23,6 +28,7 @@ from vspart.linalg import (
     join,
     kernel_basis,
     meet,
+    span_codes as vector_span_codes,
     subspace_vector_codes,
     vec_add,
     vec_scale,
@@ -273,3 +279,117 @@ def test_vector_codes_roundtrip():
     # First coordinate is the most significant digit.
     assert encode_vector((1, 0), 2) == 2
     assert encode_vector((0, 1), 2) == 1
+
+
+# -- references for the row-indexed core: the method-call elimination, the
+# Zassenhaus meet and the tuple span that it replaced ----------------------
+
+
+def reference_rref(rows, field, n):
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        lead = m[r][c]
+        if lead != 1:
+            inv = field.inv(lead)
+            m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return Subspace(field, n, tuple(tuple(m[i]) for i in range(r)), tuple(pivots))
+
+
+def reference_meet(a, b):
+    field, n = a.field, a.n
+    rows = [list(r) + list(r) for r in a.basis] + [list(r) + [0] * n for r in b.basis]
+    both = reference_rref(rows, field, 2 * n)
+    return reference_rref([row[n:] for row in both.basis if not any(row[:n])], field, n)
+
+
+def reference_contains(s, v):
+    return reference_rref(s.basis + (tuple(v),), s.field, s.n).dim == s.dim
+
+
+def reference_span_codes(field, n, rows):
+    q = field.q
+    vectors = [(0,) * n]
+    for rc in rows:
+        row = decode_vector(rc, q, n)
+        scaled = [vec_scale(field, c, row) for c in range(q)]
+        vectors = [vec_add(field, v, sr) for v in vectors for sr in scaled]
+    return [encode_vector(v, q) for v in vectors if any(v)]
+
+
+def random_subspace(rng, field, n, d):
+    rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(d)]
+    s = canonicalize(rows, field, n)
+    assert s == reference_rref(rows, field, n)
+    return s
+
+
+def check_against_references(a, b, rng):
+    m = meet(a, b)
+    assert m == reference_meet(a, b)
+    assert m == meet(b, a)
+    field, n = a.field, a.n
+    probes = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
+    probes += list(m.basis) + list(a.basis)
+    for v in probes:
+        assert contains(a, v) == reference_contains(a, v)
+        assert contains(b, v) == reference_contains(b, v)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3), (5, 3), (9, 2)])
+def test_meet_matches_zassenhaus_on_all_pairs(q, n):
+    field = field_from_order(q)
+    subs = [s for d in range(n + 1) for s in enumerate_subspaces(field, n, d)]
+    rng = random.Random(q)
+    for a, b in itertools.combinations_with_replacement(subs, 2):
+        check_against_references(a, b, rng)
+
+
+@pytest.mark.parametrize("q, n, pairs", [(2, 7, 150), (3, 5, 100), (4, 5, 80), (5, 4, 80), (9, 4, 60), (257, 4, 25), (512, 4, 25)])
+def test_meet_matches_zassenhaus_on_random_pairs(q, n, pairs):
+    field = field_from_order(q)
+    rng = random.Random(q * 100 + n)
+    for _ in range(pairs):
+        a = random_subspace(rng, field, n, rng.randrange(n + 1))
+        # Build b through part of a, so that meets are often nontrivial.
+        shared = list(a.basis[: rng.randrange(a.dim + 1)])
+        extra = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
+        b = canonicalize(shared + extra, field, n)
+        check_against_references(a, b, rng)
+
+
+@pytest.mark.parametrize("q, n, dims", [(3, 4, (1, 2, 3, 4)), (4, 3, (1, 2, 3)), (5, 3, (1, 2, 3)), (9, 3, (1, 2, 3)), (257, 3, (1, 2)), (512, 3, (1,))])
+def test_span_codes_match_tuple_span(q, n, dims):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for d in dims:
+        for _ in range(2):
+            s = random_subspace(rng, field, n, d)
+            # A non-echelon basis of s too: there, code order and coefficient
+            # order differ.
+            mixed = [combination(field, [rng.randrange(1, q), 1], [row, s.basis[-1]]) for row in s.basis[:-1]]
+            for basis in (s.basis, mixed + [s.basis[-1]]):
+                rows = [encode_vector(row, q) for row in basis]
+                assert vector_span_codes(field, n, rows) == reference_span_codes(field, n, rows)
+
+
+@pytest.mark.parametrize("q, n", [(3, 4), (4, 4)])
+def test_bounds_and_sections_match_reference_meet(q, n, monkeypatch):
+    p = spread(q, n, 2)
+    hyperplanes = [coordinate_subspace(p.field, n, [c for c in range(n) if c != skip]) for skip in range(n)]
+    got = (partition.bound_report(p), [dumps(partition.induce(p, w)) for w in hyperplanes])
+    monkeypatch.setattr(partition, "meet", reference_meet)
+    assert got == (partition.bound_report(p), [dumps(partition.induce(p, w)) for w in hyperplanes])
