@@ -24,6 +24,7 @@ from .linalg import canonicalize, kernel_basis, subspace_vector_codes
 from .partition import Partition
 
 CODE_ENUM_LIMIT = 1 << 24
+_WORD_CHUNK = 1 << 10
 # Not used by the library; perfbench/tracing.py reads it when it installs.
 PAIRWISE_SCAN_LIMIT = 3000
 
@@ -112,10 +113,18 @@ def code_from_partition(p: Partition) -> MixedCode:
     for c in p.components:
         below -= c.dim
         runs.append(([0] + subspace_vector_codes(c), q**below, q**c.dim))
-    words = sorted(
-        tuple(table[k // div % size] for table, div, size in runs)
-        for k in [0] + subspace_vector_codes(kernel)
-    )
+    ks = [0] + subspace_vector_codes(kernel)
+    words: list = []
+    # One column list per component, for a slice of the kernel at a time:
+    # whole-kernel columns would add 8 bytes per word and component to the
+    # peak memory.
+    for start in range(0, len(ks), _WORD_CHUNK):
+        chunk = ks[start : start + _WORD_CHUNK]
+        cols = [[table[k // div % size] for k in chunk] for table, div, size in runs]
+        # With no components every kernel vector is the empty word.
+        words += zip(*cols) if cols else [()] * len(chunk)
+    del ks  # freed before the words are copied into the code's tuple
+    words.sort()
     return MixedCode(field, p.n, tuple(dims), tuple(words))
 
 
@@ -137,7 +146,7 @@ def verify_perfect(code: MixedCode) -> CodeReport:
     expected_size_ok = code.size * q**code.n == product
     sphere_ok = code.size * sphere == product
     zero = (0,) * code.length
-    weights = [sum(1 for a in w if a) for w in code.codewords if w != zero]
+    weights = [len(w) - w.count(0) for w in code.codewords if w != zero]
     min_distance = min(weights) if weights else None
     distance_ok = min_distance is None or min_distance >= 3
     return CodeReport(code.size, expected_size_ok, sphere_ok, min_distance, distance_ok)

@@ -302,28 +302,54 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def echelon_bases(field: FieldSpec, n: int, d: int) -> List[Tuple[int, ...]]:
-    """The reduced echelon basis of every d-dimensional subspace of V_n(q).
+def echelon_rows(field: FieldSpec, n: int, k: int, end: int) -> List[Tuple[int, ...]]:
+    """Every k reduced echelon rows of V_n(q) that pivot left of column end.
 
-    Each basis is the tuple of its row codes, rows in pivot order, and the
-    list is sorted.  Row codes are base-q with the first coordinate most
-    significant, so this is the order of Subspace.sort_key for every q.
+    Each choice is the tuple of its row codes, rows in pivot order, and the
+    list is sorted.  A row has its leading 1 at its pivot and zeros at every
+    pivot column and at column `end` (if end < n); each other column right
+    of its pivot takes every field element.  Row codes are base-q with the
+    first coordinate most significant, so tuple order is the order of
+    Subspace.sort_key.
     """
     q = field.q
     out: List[Tuple[int, ...]] = []
-    for pivots in itertools.combinations(range(n), d):
-        pivot_set = set(pivots)
+    for pivots in itertools.combinations(range(end), k):
+        zero_cols = {*pivots, end}
         row_choices = []
         for pc in pivots:
             row_codes = [q ** (n - 1 - pc)]
             for j in range(pc + 1, n):
-                if j not in pivot_set:
+                if j not in zero_cols:
                     w = q ** (n - 1 - j)
                     row_codes = [rc + a * w for rc in row_codes for a in field.elements()]
             row_choices.append(row_codes)
         out.extend(itertools.product(*row_choices))
     out.sort()
     return out
+
+
+def echelon_bases(field: FieldSpec, n: int, d: int) -> List[Tuple[int, ...]]:
+    """The reduced echelon basis of every d-dimensional subspace of V_n(q),
+    as sorted tuples of row codes."""
+    return echelon_rows(field, n, d, n)
+
+
+def echelon_group(field: FieldSpec, n: int, d: int, v: int) -> List[Tuple[int, ...]]:
+    """The bases of echelon_bases(field, n, d) whose last row is v, in order.
+
+    These are the d-dimensional subspaces whose least nonzero vector has
+    code v (1 <= v < q^n).  The last echelon row is that vector, so the
+    list is empty unless v has a leading 1, at some column `lead`; the
+    other rows are echelon_rows(field, n, d - 1, lead).
+    """
+    q = field.q
+    lead, top = n - 1, 1
+    while v >= top * q:
+        lead, top = lead - 1, top * q
+    if v // top != 1:
+        return []
+    return [rows + (v,) for rows in echelon_rows(field, n, d - 1, lead)]
 
 
 def enumerate_subspaces(

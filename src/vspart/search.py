@@ -9,8 +9,11 @@ reached exactly once, in a deterministic order.
 
 Candidates are masks only.  Each dimension's table maps a least vector v
 to the masks of the subspaces whose least nonzero vector is v, in
-canonical basis order; it is built from the echelon bases in `linalg`
-and holds no Subspace values.  Placed masks become subspaces only when a
+canonical basis order, and holds no Subspace values.  A table is charged
+per table and built per group: the first use of dimension d charges all
+of its subspaces against the node budget, but a group is built, from
+the echelon bases in `linalg`, only when the search first asks for it.
+Most groups are never asked for.  Placed masks become subspaces only when a
 cover completes.  Each search frame keeps per-depth filtered lists: for
 each (d, v) its children ask for, the masks of group (d, v) that avoid
 the frame's covered set.  A node scans its parent's list, which is
@@ -36,7 +39,8 @@ from .linalg import (
     canonicalize,
     codes_mask,
     decode_vector,
-    echelon_bases,
+    echelon_group,
+    echelon_rows,
     gaussian_binomial,
     span_codes,
 )
@@ -96,9 +100,15 @@ class _Counter:
 class _CandidateIndex:
     """Candidate masks per dimension, grouped by least nonzero vector.
 
-    A table is `{least vector code: [mask, ...]}` in canonical basis order.
-    Placed masks become Subspace values only when a cover completes, through
-    a memo shared by every cover the search completes.
+    Charged per table, built per group.  The first group(d, v) for a
+    dimension d charges all gaussian_binomial(n, d, q) subspaces of d
+    against the node budget, as if the whole table were built; each group
+    is then built when first asked for.  tables[d] maps each built least
+    vector code v to its masks, in canonical basis order.  Over GF(2) the
+    span of a basis's other d - 1 rows is formed once and shared by every
+    group with the same leading column.  Placed masks become Subspace
+    values only when a cover completes, through a memo shared by every
+    cover the search completes.
     """
 
     def __init__(self, field: FieldSpec, n: int, counter: _Counter):
@@ -107,20 +117,42 @@ class _CandidateIndex:
         self.counter = counter
         self.tables: Dict[int, Dict[int, List[int]]] = {}
         self._subspaces: Dict[int, Subspace] = {}
+        self._prefixes: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...]]]] = {}
 
-    def get(self, d: int) -> Dict[int, List[int]]:
+    def group(self, d: int, v: int) -> List[int]:
+        """Masks of the d-subspaces whose least nonzero vector is v."""
         table = self.tables.get(d)
         if table is None:
-            # Charge the whole table against the node budget before building
-            # it, so candidate generation cannot outrun the budget.
+            # Charging the whole table up front keeps node counts and budget
+            # stops independent of which groups the search reaches.
+            self.counter.charge(gaussian_binomial(self.n, d, self.field.q))
+            table = self.tables[d] = {}
+        masks = table.get(v)
+        if masks is None:
             field, n = self.field, self.n
-            self.counter.charge(gaussian_binomial(n, d, field.q))
-            table = {}
-            for rows in echelon_bases(field, n, d):
-                # The last echelon row is the least nonzero vector of the span.
-                table.setdefault(rows[-1], []).append(codes_mask(span_codes(field, n, rows)))
-            self.tables[d] = table
-        return table
+            if field.q == 2:
+                # Over GF(2) the span of rows P and v is span(P) and its
+                # translate span(P) + v, which holds v.
+                spans = self._prefix_spans(d, v)
+                masks = [m | codes_mask([c ^ v for c in codes]) for m, codes in spans]
+            else:
+                bases = echelon_group(field, n, d, v)
+                masks = [codes_mask(span_codes(field, n, rows)) for rows in bases]
+            table[v] = masks
+        return masks
+
+    def _prefix_spans(self, d: int, v: int) -> List[Tuple[int, Tuple[int, ...]]]:
+        """For each basis of group (d, v), in order, the span of its first
+        d - 1 rows as (mask, codes with 0 first); q = 2 only."""
+        field, n = self.field, self.n
+        lead = n - v.bit_length()
+        spans = self._prefixes.get((d, lead))
+        if spans is None:
+            spans = self._prefixes[d, lead] = []
+            for rows in echelon_rows(field, n, d - 1, lead):
+                codes = span_codes(field, n, rows)
+                spans.append((codes_mask(codes), (0, *codes)))
+        return spans
 
     def subspace(self, mask: int) -> Subspace:
         s = self._subspaces.get(mask)
@@ -169,9 +201,10 @@ def _run(
     the frame's covered set, in table order.  A node scans its parent's
     list; the root scans frame 0's, whose lists are the table groups.  A
     missing list is filtered from the nearest ancestor's list, or from the
-    table, and cached at every frame between: frame j keeps what frame
-    j - 1 keeps minus the masks meeting the j-th placement.  Lists are
-    keyed by v << 6 | d (d <= n <= 20).
+    table group, and cached at every frame between: frame j keeps what
+    frame j - 1 keeps minus the masks meeting the j-th placement.  Lists
+    are keyed by v << 6 | d (d <= n <= 20).  The index charges each table
+    in full on first use but builds only the groups asked for here.
     """
     q = field.q
     full = (1 << q**n) - 2
@@ -179,8 +212,8 @@ def _run(
     size = {d: q**d - 1 for d in dims}
     # Group (d, v) is empty when v >= q^(n-d+1): the least nonzero vector
     # of a d-dimensional span has its leading 1 at coordinate n - d or
-    # later.  Such groups are skipped once their table is built, so the
-    # first index.get(d) still charges the table.
+    # later.  Such groups are skipped once their table is charged, so the
+    # first index.group(d, v) still charges the table.
     empty_from = {d: q ** (n - d + 1) for d in dims}
     covered = 0
     points_left = q**n - 1
@@ -188,7 +221,7 @@ def _run(
     lists: List[Dict[int, Sequence[int]]] = [{}]
 
     def filtered(k: int, d: int, v: int, key: int) -> Sequence[int]:
-        group = index.get(d).get(v, ())
+        group = index.group(d, v)
         if not group or not k:
             # Frame 0 covers nothing, and an empty group stays empty.
             lists[k][key] = group

@@ -20,6 +20,8 @@ from vspart.linalg import (
     contains,
     coordinate_subspace,
     decode_vector,
+    echelon_bases,
+    echelon_group,
     encode_vector,
     enumerate_nonzero,
     enumerate_subspaces,
@@ -236,6 +238,18 @@ def reference_subspaces(field, n, d):
 def test_enumerate_subspaces_matches_reference(field, n):
     for d in range(n + 1):
         assert enumerate_subspaces(field, n, d, budget=None) == reference_subspaces(field, n, d)
+
+
+@pytest.mark.parametrize(
+    "field,n", [(GF2, 5), (GF3, 4), (GF4, 3), (make_field(5, 1), 3)]
+)
+def test_echelon_group_is_echelon_bases_by_last_row(field, n):
+    """Every nonzero v, leading digit other than 1 and v with no room for
+    d - 1 more pivots included."""
+    for d in range(1, n + 1):
+        bases = echelon_bases(field, n, d)
+        for v in range(1, field.q**n):
+            assert echelon_group(field, n, d, v) == [b for b in bases if b[-1] == v]
 
 
 def test_enumerate_subspaces_budget():

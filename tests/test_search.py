@@ -95,8 +95,10 @@ def test_exhausted_stable_under_candidate_order():
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3)])
 def test_candidate_table_matches_enumerated_subspaces(q, n):
-    """Each table is nonzero_mask of enumerate_subspaces, grouped by least
-    vector in enumeration order, and each mask maps back to its subspace."""
+    """Each group (d, v) is nonzero_mask of enumerate_subspaces, grouped by
+    least vector in enumeration order, for every nonzero v: empty groups,
+    v past the last nonempty group and v with a non-unit leading digit
+    included.  Each mask maps back to its subspace."""
     from vspart.gf import field_from_order
     from vspart.linalg import enumerate_subspaces, nonzero_mask
     from vspart.search import _CandidateIndex, _Counter
@@ -109,8 +111,55 @@ def test_candidate_table_matches_enumerated_subspaces(q, n):
         for s in subspaces:
             mask = nonzero_mask(s)
             expected.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
-        assert index.get(d) == expected
+        assert {v: index.group(d, v) for v in range(1, q**n)} == {
+            v: expected.get(v, []) for v in range(1, q**n)
+        }
         assert [index.subspace(nonzero_mask(s)) for s in subspaces] == subspaces
+
+
+def test_first_group_charges_whole_table():
+    """The first group of a dimension charges its Gaussian binomial, though
+    only that group is built."""
+    from vspart.gf import field_from_order
+    from vspart.linalg import gaussian_binomial
+    from vspart.search import _BudgetHit, _CandidateIndex, _Counter
+
+    field = field_from_order(2)
+    g = gaussian_binomial(6, 3, 2)
+    with pytest.raises(_BudgetHit):
+        _CandidateIndex(field, 6, _Counter(g - 1)).group(3, 1)
+    counter = _Counter(g)
+    index = _CandidateIndex(field, 6, counter)
+    # Vector 1 is least in every subspace holding it: 3-spaces through a point.
+    assert len(index.group(3, 1)) == gaussian_binomial(5, 2, 2)
+    assert counter.nodes == g
+    assert list(index.tables[3]) == [1]
+    index.group(3, 2)  # later groups of the same table charge nothing
+    assert counter.nodes == g
+
+
+def test_search_builds_only_the_groups_it_reads(monkeypatch):
+    """A find builds fewer groups, and fewer masks, than its tables hold;
+    its node count stays the pinned one."""
+    import vspart.search as search_module
+    from vspart.linalg import gaussian_binomial
+
+    indexes = []
+
+    class Recording(search_module._CandidateIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            indexes.append(self)
+
+    monkeypatch.setattr(search_module, "_CandidateIndex", Recording)
+    out = find_partition(2, 6, PartitionType.parse("7x2,6x3"), budget=2073)
+    assert (out.status, out.nodes) == (FOUND, 2073)  # search_pins.json
+    (index,) = indexes
+    assert sorted(index.tables) == [2, 3]
+    built = [masks for table in index.tables.values() for masks in table.values() if masks]
+    nonempty = sum(2 ** (6 - d + 1) - 1 for d in (2, 3))
+    assert 0 < len(built) < nonempty
+    assert sum(map(len, built)) < sum(gaussian_binomial(6, d, 2) for d in (2, 3))
 
 
 # ---------------------------------------------------------------------------
