@@ -5,6 +5,11 @@ uncovered parameters, 2 for usage errors and exceeded budgets.  Every
 subcommand takes --json for machine-readable output; partition files use
 the canonical format of the io module.  VSPART_BUDGET sets the default
 search budget.
+
+Each command imports only the library modules it runs, inside its
+handler, and checks its own option combinations before those imports;
+this module loads just argparse, json and the error types, so a command
+does not pay to import (or compile) the rest of the package.
 """
 
 from __future__ import annotations
@@ -12,31 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
 
 from . import __version__
-from .codes import code_from_partition, code_parameters, verify_perfect
-from .construct import (
-    build_t_partition,
-    hyperplane_section,
-    near_spread,
-    spread,
-    typed_construct,
-)
-from .designs import design_from_partition, verify_design
-from .dioph import annotate, classify_gf2_23, solve
 from .errors import BudgetExceeded, UncoveredCase, VspartError
-from .io import read_partition, write_partition
-from .linalg import canonicalize
-from .partition import PartitionType, bound_report, induce, type_of, verify
-from .search import EXHAUSTED, FOUND, conjecture_scan, enumerate_all, find_partition
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _emit(payload: dict, as_json: bool, lines: List[str]) -> None:
+def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -48,12 +38,22 @@ def _parse_dims(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _maybe_write(partition, out: Optional[str]) -> None:
+def _parse_type(text: str):
+    from .partition import PartitionType
+
+    return PartitionType.parse(text)
+
+
+def _maybe_write(partition, out: str | None) -> None:
     if out:
+        from .io import write_partition
+
         write_partition(partition, out)
 
 
 def _cmd_solve(args) -> int:
+    from .dioph import annotate, solve
+
     sols = solve(args.q, args.n, _parse_dims(args.dims))
     use_filters = args.filters == "all"
     rows = []
@@ -77,6 +77,8 @@ def _cmd_solve(args) -> int:
 
 
 def _partition_summary(p) -> dict:
+    from .partition import type_of
+
     return {
         "q": p.field.q,
         "n": p.n,
@@ -86,15 +88,16 @@ def _partition_summary(p) -> dict:
     }
 
 
-# construct builder -> (options it needs besides --q, build from the arguments)
+# construct builder -> (options it needs besides --q, build from the
+# construct module and the arguments)
 _BUILDERS = {
-    "spread": (("n", "d"), lambda a: spread(a.q, a.n, a.d)),
-    "near-spread": (("n", "d"), lambda a: near_spread(a.q, a.n, a.d)),
-    "hsection": (("k", "d"), lambda a: hyperplane_section(a.q, a.k, a.d)),
-    "typed": (("n", "type"), lambda a: typed_construct(a.q, a.n, PartitionType.parse(a.type))),
+    "spread": (("n", "d"), lambda c, a: c.spread(a.q, a.n, a.d)),
+    "near-spread": (("n", "d"), lambda c, a: c.near_spread(a.q, a.n, a.d)),
+    "hsection": (("k", "d"), lambda c, a: c.hyperplane_section(a.q, a.k, a.d)),
+    "typed": (("n", "type"), lambda c, a: c.typed_construct(a.q, a.n, _parse_type(a.type))),
     "tpartition": (
         ("T", "n"),
-        lambda a: build_t_partition(a.q, _parse_dims(a.T), a.n, budget=a.budget),
+        lambda c, a: c.build_t_partition(a.q, _parse_dims(a.T), a.n, budget=a.budget),
     ),
 }
 
@@ -104,7 +107,9 @@ def _cmd_construct(args) -> int:
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValueError(f"construct {args.builder} needs {' and '.join(missing)}")
-    part = build(args)
+    from . import construct
+
+    part = build(construct, args)
     _maybe_write(part, args.out)
     payload = _partition_summary(part)
     _emit(payload, args.json, [f"built partition of type {payload['type']} (r={part.r})"])
@@ -112,6 +117,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .io import read_partition
+    from .partition import type_of, verify
+
     p = read_partition(args.file, allow_noncanonical=args.force)
     report = verify(p)
     payload = {
@@ -126,6 +134,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .io import read_partition
+    from .partition import bound_report, verify
+
     p = read_partition(args.file, allow_noncanonical=args.force)
     if not verify(p).valid:
         _emit({"valid": False}, args.json, ["not a valid partition"])
@@ -153,6 +164,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .io import read_partition
+    from .linalg import canonicalize
+    from .partition import induce
+
     p = read_partition(args.file, allow_noncanonical=args.force)
     rows = [[int(x) for x in row.split(",")] for row in args.w.split(";")]
     w = canonicalize(rows, p.field, p.n)
@@ -166,15 +181,18 @@ def _cmd_induce(args) -> int:
 def _cmd_search(args) -> int:
     if (args.type is None) == (args.T is None):
         raise ValueError("search needs exactly one of --type or --T")
-    goal = PartitionType.parse(args.type) if args.type else _parse_dims(args.T)
+    from .partition import type_of
+    from .search import EXHAUSTED, FOUND, find_partition
+
+    goal = _parse_type(args.type) if args.type is not None else _parse_dims(args.T)
     outcome = find_partition(args.q, args.n, goal, budget=args.budget)
     payload = {
         "status": outcome.status,
         "nodes": outcome.nodes,
         "type": type_of(outcome.partition).format() if outcome.found else None,
     }
-    if outcome.found and args.out:
-        write_partition(outcome.partition, args.out)
+    if outcome.found:
+        _maybe_write(outcome.partition, args.out)
     _emit(payload, args.json, [f"{outcome.status} after {outcome.nodes} nodes"])
     if outcome.status == FOUND:
         return EXIT_OK
@@ -184,6 +202,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .partition import type_of
+    from .search import enumerate_all
+
     parts = enumerate_all(args.q, args.n)
     histogram: dict = {}
     for p in parts:
@@ -198,6 +219,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify_23(args) -> int:
+    from .dioph import classify_gf2_23
+
     rows = classify_gf2_23(args.n)
     payload = {
         "n": args.n,
@@ -211,6 +234,8 @@ def _cmd_classify_23(args) -> int:
 
 
 def _cmd_conjecture_scan(args) -> int:
+    from .search import conjecture_scan
+
     rep = conjecture_scan(args.q, args.n)
     payload = {
         "q": rep.q,
@@ -229,6 +254,9 @@ def _cmd_conjecture_scan(args) -> int:
 
 
 def _cmd_code(args) -> int:
+    from .codes import code_from_partition, code_parameters, verify_perfect
+    from .io import read_partition
+
     p = read_partition(args.file, allow_noncanonical=args.force)
     params = code_parameters(p)
     payload = {"parameters": params}
@@ -255,6 +283,9 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    from .designs import design_from_partition, verify_design
+    from .io import read_partition
+
     p = read_partition(args.file, allow_noncanonical=args.force)
     design = design_from_partition(p)
     payload = {
@@ -377,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[List[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,8 +8,9 @@ translation by any fixed vector permutes the blocks within each class.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .errors import TooLarge
 from .gf import FieldSpec
@@ -59,17 +60,17 @@ def design_from_partition(p: Partition) -> CosetDesign:
     total = q**p.n
     if total > DESIGN_POINT_LIMIT:
         raise TooLarge("design enumeration beyond the 2^16 point guard")
-    points = [decode_vector(v, q, p.n) for v in range(total)]
+    add = _vector_add(field, p.n)
     classes: List[Tuple[Tuple[int, ...], ...]] = []
     for c in p.components:
-        members = [points[m] for m in [0] + subspace_vector_codes(c)]
+        members = [0] + subspace_vector_codes(c)
         seen = bytearray(total)
         blocks = []
         # Each block is found at its least point, so blocks come out sorted.
         for v in range(total):
             if seen[v]:
                 continue
-            block = sorted(encode_vector(vec_add(field, points[v], m), q) for m in members)
+            block = sorted(add(v, m) for m in members)
             for code in block:
                 seen[code] = 1
             blocks.append(tuple(block))
@@ -117,14 +118,28 @@ def verify_design(d: CosetDesign) -> DesignReport:
                 hits[v] += 1
     pair_ok = hits.count(1) == total - 1
     translation_ok = in_range
+    add = _vector_add(field, n)
     for t in _translation_samples(total) if in_range else ():
-        tv = decode_vector(t, q, n)
         # The code permutation x -> x + t, computed once per sample.
-        shift = [encode_vector(vec_add(field, decode_vector(x, q, n), tv), q) for x in range(total)]
+        shift = [add(x, t) for x in range(total)]
         for cls in d.classes:
             if {tuple(sorted([shift[x] for x in b])) for b in cls} != set(cls):
                 translation_ok = False
     return DesignReport(pair_ok, classes_ok, translation_ok, len(d.classes), tuple(block_sizes))
+
+
+def _vector_add(field: FieldSpec, n: int) -> Callable[[int, int], int]:
+    """The sum of two vector codes of V_n(q), as a code.
+
+    In characteristic 2 a vector code is the concatenation of e-bit element
+    codes and element addition is XOR, so the sum is the XOR of the codes.
+    Other fields add the coordinate tuples.
+    """
+    if field.p == 2:
+        return operator.xor
+    q = field.q
+    points = [decode_vector(v, q, n) for v in range(q**n)]
+    return lambda u, v: encode_vector(vec_add(field, points[u], points[v]), q)
 
 
 def _translation_samples(total: int) -> List[int]:

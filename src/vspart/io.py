@@ -4,9 +4,9 @@ A partition file is a single JSON document with the field parameters
 (p, e, modulus coefficient list), the ambient dimension n, and the
 components as lists of basis rows of integer element codes.  Writers emit
 canonical form: echelon bases, components sorted by flattened basis, keys
-sorted.  Readers re-canonicalize and reject non-canonical input unless
-explicitly told to accept it.  An optional provenance object records how
-the partition was constructed.
+sorted.  Readers reject a document without components, re-canonicalize,
+and reject non-canonical input unless explicitly told to accept it.  An
+optional provenance object records how the partition was constructed.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def doc_to_partition(doc: dict, allow_noncanonical: bool = False) -> Partition:
     if n < 1:
         raise ValueError(f"ambient dimension n must be positive, got {n}")
     raw = [_basis_rows(comp, i) for i, comp in enumerate(_list(doc["components"], "components"))]
+    if not raw:
+        raise ValueError("a partition needs at least one component")
     comps = [canonicalize(rows, field, n) for rows in raw]
     canonical = all(
         list(map(list, c.basis)) == rows for c, rows in zip(comps, raw)

@@ -235,15 +235,24 @@ def span_codes(field: FieldSpec, n: int, rows: Sequence[int]) -> List[int]:
 
     The rows are vector codes.  The vector with coefficients (a_1, ..., a_d)
     on the rows sits at index a_1 q^{d-1} + ... + a_d - 1, first coefficient
-    most significant.  GF(2) adds codes by XOR; other fields add coordinate
-    tuples through the field's rows, and encode the sums with the last row
-    as they form them.
+    most significant.  In characteristic 2 a vector code is the concatenation
+    of e-bit element codes and element addition is XOR, so codes add by XOR:
+    over GF(2) the rows themselves, over GF(2^e) their q - 1 nonzero
+    multiples.  Other fields add coordinate tuples through the field's rows,
+    and encode the sums with the last row as they form them.
     """
     q = field.q
-    if field.p == 2 and field.e == 1:
+    if field.p == 2:
         codes = [0]
-        for rc in reversed(rows):
-            codes += [c ^ rc for c in codes]
+        if field.e == 1:
+            for rc in reversed(rows):
+                codes += [c ^ rc for c in codes]
+        else:
+            mul = field.rows()[1]
+            for rc in reversed(rows):
+                row = decode_vector(rc, q, n)
+                multiples = [0] + [encode_vector([mul[c][x] for x in row], q) for c in range(1, q)]
+                codes = [m ^ x for m in multiples for x in codes]
         return codes[1:]
     if not rows:
         return []

@@ -178,8 +178,8 @@ def test_code_and_design(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "n,components",
-    [(2, []), (40, [[[0] * 39 + [1]]]), (4, [[[0, 0, 0, 1]], [[0, 0, 1, 0]], [[0, 0, 1, 1]]])],
-    ids=["empty_v2", "one_line_v40", "plane_lines_v4"],
+    [(40, [[[0] * 39 + [1]]]), (4, [[[0, 0, 0, 1]], [[0, 0, 1, 0]], [[0, 0, 1, 1]]])],
+    ids=["one_line_v40", "plane_lines_v4"],
 )
 def test_code_check_rejects_non_spanning_components(tmp_path, capsys, n, components):
     f = tmp_path / "p.part"
@@ -190,6 +190,25 @@ def test_code_check_rejects_non_spanning_components(tmp_path, capsys, n, compone
     code, out, _ = run_cli(capsys, "code", str(f), "--check", "--json")
     assert code == 1
     assert json.loads(out)["check"]["perfect"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["bounds"], ["induce", "--w", "1,0"], ["code", "--check", "--json"],
+     ["design", "--check", "--json"]],
+    ids=lambda argv: argv[0],
+)
+def test_empty_components_is_usage_error(tmp_path, capsys, argv):
+    # A file with no components is refused when read, so no command reports
+    # on a "partition" of nothing.
+    f = tmp_path / "empty.part"
+    doc = {"format": "vspart-partition", "version": 1, "p": 2, "e": 1,
+           "modulus": [0, 1], "n": 2, "components": []}
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: a partition needs at least one component"]
 
 
 def test_usage_error_exit(capsys):

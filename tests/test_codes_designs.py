@@ -9,7 +9,9 @@ from vspart.errors import TooLarge
 from vspart.gf import make_field
 from vspart.linalg import (
     canonicalize,
+    decode_vector,
     encode_vector,
+    enumerate_nonzero,
     enumerate_subspaces,
     kernel_basis,
     vec_add,
@@ -316,6 +318,27 @@ def test_design_report_on_broken_classes(case, expected):
 
 
 def test_design_reports_match_over_fields():
-    for args, sizes in [((2, 8, 2), (4,) * 85), ((3, 4, 2), (9,) * 10), ((4, 2, 1), (4,) * 5)]:
+    for args, sizes in [((2, 8, 2), (4,) * 85), ((3, 4, 2), (9,) * 10), ((4, 2, 1), (4,) * 5),
+                        ((4, 4, 2), (16,) * 17), ((2, 6, 2), (4,) * 21)]:
         expected = (True, True, True, len(sizes), sizes)
         assert _report(design_from_partition(spread(*args))) == expected
+
+
+def reference_design_classes(p):
+    """Oracle: the cosets of each component, summed as coordinate tuples."""
+    field, q, n = p.field, p.field.q, p.n
+    points = [decode_vector(v, q, n) for v in range(q**n)]
+    classes = []
+    for c in p.components:
+        members = [(0,) * n] + enumerate_nonzero(c)
+        blocks = {tuple(sorted(encode_vector(vec_add(field, x, m), q) for m in members)) for x in points}
+        classes.append(tuple(sorted(blocks)))
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("args", [(4, 4, 2), (2, 6, 2), (8, 2, 1), (3, 4, 2)])
+def test_design_matches_tuple_cosets(args):
+    # In characteristic 2 the blocks are formed by XOR of codes.
+    p = spread(*args)
+    assert design_from_partition(p).classes == reference_design_classes(p)
+

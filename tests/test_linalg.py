@@ -385,7 +385,11 @@ def test_meet_matches_zassenhaus_on_random_pairs(q, n, pairs):
         check_against_references(a, b, rng)
 
 
-@pytest.mark.parametrize("q, n, dims", [(3, 4, (1, 2, 3, 4)), (4, 3, (1, 2, 3)), (5, 3, (1, 2, 3)), (9, 3, (1, 2, 3)), (257, 3, (1, 2)), (512, 3, (1,))])
+@pytest.mark.parametrize(
+    "q, n, dims",
+    [(3, 4, (1, 2, 3, 4)), (4, 3, (1, 2, 3)), (5, 3, (1, 2, 3)), (9, 3, (1, 2, 3)), (257, 3, (1, 2)),
+     (512, 3, (1,)), (8, 3, (1, 2, 3)), (16, 3, (1, 2, 3)), (256, 3, (1, 2))],
+)
 def test_span_codes_match_tuple_span(q, n, dims):
     field = field_from_order(q)
     rng = random.Random(q)
