@@ -21,9 +21,16 @@ usually far shorter than the table group, so a candidate an ancestor
 ruled out is never looked at again (the caching idea of Knuth's "Dancing
 Links").  Filtering keeps table order, so the search order is unchanged.
 
+The search itself is one flat loop (`_run`).  The current node's state is
+kept in local variables and pushed on a stack of tuples when the loop goes
+down a level; the goal enters only as per-dimension caps on how many
+components of each dimension may be placed, a feasibility test and a
+callback for each complete cover.
+
 Budget semantics: the node budget counts both tree expansions and generated
 candidate subspaces, and running out is always reported as its own outcome,
-never as exhaustion.
+never as exhaustion: a find returns the "budget" status, and
+enumerate_all, which has no partial answer, raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import TooLarge
+from .errors import BudgetExceeded, TooLarge
 from .gf import FieldSpec, field_from_order
 from .linalg import (
     Subspace,
@@ -84,11 +91,6 @@ class _Counter:
     def __init__(self, limit: Optional[int]):
         self.nodes = 0
         self.limit = limit
-
-    def bump(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise _BudgetHit
 
     def charge(self, k: int) -> None:
         """Charge k nodes up front, before the work is done."""
@@ -173,28 +175,36 @@ def _require_positive_n(n: int) -> None:
         raise ValueError(f"ambient dimension n must be positive, got {n}")
 
 
-def _default_budget() -> int:
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
+def _node_budget(budget: Optional[int]) -> int:
+    """The given budget, else VSPART_BUDGET, else DEFAULT_NODE_BUDGET."""
+    if budget is None:
+        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
+    if budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {budget}")
+    return budget
 
 
 def _run(
     field: FieldSpec,
     n: int,
     dims: Sequence[int],
+    caps: Dict[int, int],
     used: Dict[int, int],
-    may_place: Callable[[int], bool],
     feasible: Optional[Callable[[int], bool]],
     complete: Callable[[Callable[[], Tuple[Subspace, ...]]], bool],
     counter: _Counter,
     candidate_order: Optional[Callable[[list], list]],
 ) -> None:
-    """Iterative depth-first exact cover.
+    """Depth-first exact cover in one flat loop, under a bounded counter.
 
-    may_place(d) gates a dimension before its candidates are scanned,
+    A node opens the dimensions of dims in turn, skipping each d with
+    used[d] >= caps[d]; `used` is kept in step with placements.
     feasible(points_left) prunes after a placement, and complete(components)
-    consumes a full cover, returning True to stop the whole search;
-    components() returns the placed subspaces.  The per-dimension usage
-    counts in `used` are kept in step with placements.
+    consumes a full cover, returning True to stop the whole search.  The
+    node lives in locals: its least uncovered vector v, the position i of
+    the next dimension to open, the iterator `it` over the open candidate
+    list and that list's dimension d.  Going down pushes (v, i, it, d); an
+    exhausted node pops its parent's and undoes the placement that made it.
 
     Frame k is the node after k placements.  lists[k] maps each (d, v)
     its children asked for to the masks of table group (d, v) that avoid
@@ -209,15 +219,16 @@ def _run(
     q = field.q
     full = (1 << q**n) - 2
     index = _CandidateIndex(field, n, counter)
-    size = {d: q**d - 1 for d in dims}
+    tables = index.tables
     # Group (d, v) is empty when v >= q^(n-d+1): the least nonzero vector
     # of a d-dimensional span has its leading 1 at coordinate n - d or
     # later.  Such groups are skipped once their table is charged, so the
     # first index.group(d, v) still charges the table.
     empty_from = {d: q ** (n - d + 1) for d in dims}
+    limit = counter.limit
+    points = q**n - 1
     covered = 0
-    points_left = q**n - 1
-    placed: List[Tuple[int, int]] = []
+    placed: List[int] = []
     lists: List[Dict[int, Sequence[int]]] = [{}]
 
     def filtered(k: int, d: int, v: int, key: int) -> Sequence[int]:
@@ -232,68 +243,63 @@ def _run(
         if j:
             group = lists[j][key]
         while j < k:
-            c = placed[j][0]
+            c = placed[j]
             j += 1
             group = lists[j][key] = [m for m in group if not m & c]
         return group
 
-    def undo() -> None:
-        nonlocal covered, points_left
-        mask, d = placed.pop()
-        covered ^= mask
-        points_left += size[d]
-        used[d] -= 1
-
     def components() -> Tuple[Subspace, ...]:
-        return tuple(index.subspace(mask) for mask, _ in placed)
+        return tuple(index.subspace(mask) for mask in placed)
 
-    def choices():
-        free = full & ~covered
-        v = (free & -free).bit_length() - 1
-        cur = covered
-        up = max(len(placed) - 1, 0)
-        above = lists[up]
-        vkey = v << 6
-        for d in dims:
-            if not may_place(d) or (v >= empty_from[d] and d in index.tables):
+    ndims = len(dims)
+    stack: List[tuple] = []
+    # The root: vector 1 is the least nonzero vector, nothing is open yet.
+    empty = iter(())
+    v, i, it, d = 1, 0, empty, 0
+    while True:
+        for mask in it:
+            if not mask & covered:
+                break
+        else:
+            if i < ndims:
+                d = dims[i]
+                i += 1
+                if used[d] >= caps[d] or (v >= empty_from[d] and d in tables):
+                    continue
+                key = v << 6 | d
+                up = len(placed) - 1 if placed else 0
+                # Read the parent's list inline; filtered() is the miss path.
+                group = lists[up].get(key)
+                if group is None:
+                    group = filtered(up, d, v, key)
+                if candidate_order is not None:
+                    group = candidate_order(list(group))
+                it = iter(group)
                 continue
-            key = vkey | d
-            # Read the parent's list inline; filtered() is the miss path.
-            group = above.get(key)
-            if group is None:
-                group = filtered(up, d, v, key)
-            if candidate_order is not None:
-                group = candidate_order(list(group))
-            for mask in group:
-                if not mask & cur:
-                    yield mask, d
-
-    stack = [choices()]
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            lists.pop()
-            if placed and len(placed) >= len(stack):
-                undo()
-            continue
-        mask, d = nxt
-        counter.bump()
-        covered |= mask
-        points_left -= size[d]
-        used[d] += 1
-        placed.append((mask, d))
-        if covered == full:
-            stop = complete(components)
-            undo()
-            if stop:
+            if not stack:
                 return
+            lists.pop()
+            v, i, it, d = stack.pop()
+            covered ^= placed.pop()
+            used[d] -= 1
             continue
-        if feasible is not None and not feasible(points_left):
-            undo()
+        counter.nodes += 1
+        if counter.nodes > limit:
+            raise _BudgetHit
+        covered |= mask
+        used[d] += 1
+        placed.append(mask)
+        if covered == full:
+            if complete(components):
+                return
+        elif feasible is None or feasible(points - covered.bit_count()):
+            lists.append({})
+            stack.append((v, i, it, d))
+            free = full & ~covered
+            v, i, it = (free & -free).bit_length() - 1, 0, empty
             continue
-        lists.append({})
-        stack.append(choices())
+        covered ^= placed.pop()
+        used[d] -= 1
 
 
 def _find_by_type(
@@ -326,11 +332,7 @@ def _find_by_type(
         return True
 
     try:
-        _run(
-            field, n, dims, used,
-            lambda d: used[d] < multiplicity[d],
-            None, complete, counter, candidate_order,
-        )
+        _run(field, n, dims, multiplicity, used, None, complete, counter, candidate_order)
     except _BudgetHit:
         return SearchOutcome(BUDGET, None, counter.nodes)
     if found:
@@ -365,13 +367,13 @@ def _find_by_dims(
     dims = tuple(sorted(dims, reverse=True))
     used = {d: 0 for d in dims}
     capped = {d for d in dims if 2 * d > n}
+    # Two subspaces of dimension d > n / 2 always meet, so such a d is
+    # placed at most once; the others are bounded by the point count.
+    caps = {d: 1 if d in capped else q**n for d in dims}
     terms = {d: q**d - 1 for d in dims}
     desc = list(dims)
     feas_memo: Dict[Tuple[int, frozenset, Tuple[int, ...]], bool] = {}
     found: List[Partition] = []
-
-    def may_place(d: int) -> bool:
-        return d not in capped or used[d] < 1
 
     def feasible(points_left: int) -> bool:
         # Residual counting feasibility: the points still uncovered must be
@@ -384,13 +386,13 @@ def _find_by_dims(
         if hit is not None:
             return hit
         residual = points_left
-        caps = {d: (1 - used[d]) if d in capped else None for d in dims}
+        room = {d: (1 - used[d]) if d in capped else None for d in dims}
         ok = True
         for d in missing:
             residual -= terms[d]
-            if caps[d] is not None:
-                caps[d] -= 1
-                if caps[d] < 0:
+            if room[d] is not None:
+                room[d] -= 1
+                if room[d] < 0:
                     ok = False
         if residual < 0:
             ok = False
@@ -403,8 +405,8 @@ def _find_by_dims(
                     return False
                 d = desc[i]
                 hi = rem // terms[d]
-                if caps[d] is not None:
-                    hi = min(hi, caps[d])
+                if room[d] is not None:
+                    hi = min(hi, room[d])
                 for y in range(hi, -1, -1):
                     if can(rem - y * terms[d], i + 1):
                         return True
@@ -421,7 +423,7 @@ def _find_by_dims(
         return True
 
     try:
-        _run(field, n, dims, used, may_place, feasible, complete, counter, candidate_order)
+        _run(field, n, dims, caps, used, feasible, complete, counter, candidate_order)
     except _BudgetHit:
         return SearchOutcome(BUDGET, None, counter.nodes)
     if found:
@@ -453,11 +455,7 @@ def find_partition(
     _require_positive_n(n)
     if q**n > SEARCH_SPACE_LIMIT:
         raise TooLarge(f"{q}^{n} exceeds the search guard 2^20")
-    if budget is None:
-        budget = _default_budget()
-    if budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {budget}")
-    counter = _Counter(budget)
+    counter = _Counter(_node_budget(budget))
     if isinstance(goal, PartitionType):
         return _find_by_type(field, n, goal, counter, candidate_order)
     dims = tuple(sorted(set(int(d) for d in goal)))
@@ -466,25 +464,36 @@ def find_partition(
     return _find_by_dims(field, n, dims, counter, candidate_order)
 
 
-def enumerate_all(q: int, n: int) -> List[Partition]:
+def enumerate_all(q: int, n: int, budget: Optional[int] = None) -> List[Partition]:
     """Every partition of V_n(q), each exactly once, in search order.
 
     Brute-force oracle for the invariant suites; guarded at q^n <= 2^12.
-    ValueError is raised for n < 1.
+    The node budget counts as in find_partition, with the same default;
+    running out raises BudgetExceeded, since a partial list is no census.
+    ValueError is raised for n < 1 and for a negative budget.
     """
     field = field_from_order(q)
     _require_positive_n(n)
     if q**n > ENUMERATE_ALL_LIMIT:
         raise TooLarge(f"{q}^{n} exceeds the enumeration guard 2^12")
+    budget = _node_budget(budget)
     dims = tuple(range(1, n + 1))
-    used = {d: 0 for d in dims}
+    uncapped = dict.fromkeys(dims, q**n)
     out: List[Partition] = []
 
     def complete(components) -> bool:
         out.append(Partition(field, n, components()))
         return False
 
-    _run(field, n, dims, used, lambda d: True, None, complete, _Counter(None), None)
+    try:
+        _run(
+            field, n, dims, uncapped, dict.fromkeys(dims, 0),
+            None, complete, _Counter(budget), None,
+        )
+    except _BudgetHit:
+        raise BudgetExceeded(
+            f"enumerating V_{n}(GF({q})) needs more than {budget} nodes"
+        ) from None
     return out
 
 
@@ -504,14 +513,15 @@ class ScanReport:
         return not self.counterexamples
 
 
-def conjecture_scan(q: int, n: int) -> ScanReport:
+def conjecture_scan(q: int, n: int, budget: Optional[int] = None) -> ScanReport:
     """Scan every partition of V_n(q) for minimum-dimension counts below q^t + 1.
 
     The expectation is that no non-trivial partition falls below the bound;
-    any that does is returned as a counterexample.  ValueError is raised
-    for n < 1.
+    any that does is returned as a counterexample.  The budget is that of
+    enumerate_all, which raises BudgetExceeded when it runs out.
+    ValueError is raised for n < 1 and for a negative budget.
     """
-    parts = enumerate_all(q, n)
+    parts = enumerate_all(q, n, budget)
     min_s: Dict[int, int] = {}
     witnesses: Dict[int, PartitionType] = {}
     counterexamples: List[Partition] = []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,8 @@ def test_search_budget_exit(capsys):
         (("search", "--q", "2", "--n", "0", "--T", "1"), None),
         (("search", "--q", "2", "--n", "3", "--type", "7x1", "--budget", "-1"), None),
         (("search", "--q", "2", "--n", "3", "--type", "7x1"), "-5"),
+        (("enumerate", "--q", "2", "--n", "3"), "-5"),
+        (("conjecture-scan", "--q", "2", "--n", "3"), "-5"),
     ],
 )
 def test_search_commands_refuse_bad_n_and_budget(capsys, monkeypatch, argv, env_budget):
@@ -149,6 +152,24 @@ def test_enumerate(capsys):
     doc = json.loads(out)
     assert doc["count"] == 9
     assert doc["types"]["4x1,1x2"] == 7
+
+
+@pytest.mark.parametrize("command", ["enumerate", "conjecture-scan"])
+def test_enumeration_budget_stop_exits_2_at_once(command):
+    # V_4(3) takes minutes to enumerate; a small budget stops it in a fresh
+    # process with one line on stderr and no partial census.
+    env = dict(os.environ, PYTHONPATH=str(Path(vspart.__file__).parents[1]), VSPART_BUDGET="10000")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "vspart.cli", command, "--q", "3", "--n", "4"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "budget exceeded: enumerating V_4(GF(3)) needs more than 10000 nodes"
+    ]
 
 
 def test_classify(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from vspart.dioph import solve
-from vspart.errors import TooLarge
+from vspart.errors import BudgetExceeded, TooLarge
 from vspart.partition import PartitionType, bound_report, is_T_partition, type_of, verify
 from vspart.search import (
     BUDGET,
@@ -229,6 +229,22 @@ def test_enumerate_all_v4_census():
         "3x1,4x2": disjoint_sets[4],
         "5x2": disjoint_sets[5],
     }
+
+
+def test_enumerate_all_budget():
+    """enumerate_all(2, 3) takes 52 nodes: the tables of dimensions 1, 2
+    and 3 charge 7 + 7 + 1, and the tree has 37 placements.  At that
+    budget the census is complete; one node less raises, never a partial
+    list; a scan passes its budget on."""
+    full = enumerate_all(2, 3)
+    assert enumerate_all(2, 3, budget=52) == full
+    with pytest.raises(BudgetExceeded, match="more than 51 nodes"):
+        enumerate_all(2, 3, budget=51)
+    with pytest.raises(BudgetExceeded):
+        conjecture_scan(2, 3, budget=51)
+    assert conjecture_scan(2, 3, budget=52).partitions_scanned == len(full)
+    with pytest.raises(ValueError):
+        enumerate_all(2, 3, budget=-1)
 
 
 def test_enumerate_all_guard():
