@@ -88,13 +88,13 @@ class _BudgetHit(Exception):
 class _Counter:
     __slots__ = ("nodes", "limit")
 
-    def __init__(self, limit: Optional[int]):
+    def __init__(self, limit: int):
         self.nodes = 0
         self.limit = limit
 
     def charge(self, k: int) -> None:
         """Charge k nodes up front, before the work is done."""
-        if self.limit is not None and self.nodes + k > self.limit:
+        if self.nodes + k > self.limit:
             raise _BudgetHit
         self.nodes += k
 
@@ -386,14 +386,15 @@ def _find_by_dims(
         if hit is not None:
             return hit
         residual = points_left
-        room = {d: (1 - used[d]) if d in capped else None for d in dims}
+        # Only the caps of capped dimensions can bind: for the others
+        # used[d] * terms[d] + points_left <= q^n - 1 < caps[d].
+        room = {d: caps[d] - used[d] for d in dims}
         ok = True
         for d in missing:
             residual -= terms[d]
-            if room[d] is not None:
-                room[d] -= 1
-                if room[d] < 0:
-                    ok = False
+            room[d] -= 1
+            if room[d] < 0:
+                ok = False
         if residual < 0:
             ok = False
         if ok:
@@ -404,9 +405,7 @@ def _find_by_dims(
                 if i == len(desc):
                     return False
                 d = desc[i]
-                hi = rem // terms[d]
-                if room[d] is not None:
-                    hi = min(hi, room[d])
+                hi = min(rem // terms[d], room[d])
                 for y in range(hi, -1, -1):
                     if can(rem - y * terms[d], i + 1):
                         return True
@@ -464,19 +463,20 @@ def find_partition(
     return _find_by_dims(field, n, dims, counter, candidate_order)
 
 
-def enumerate_all(q: int, n: int, budget: Optional[int] = None) -> List[Partition]:
+def enumerate_all(q: int, n: int) -> List[Partition]:
     """Every partition of V_n(q), each exactly once, in search order.
 
     Brute-force oracle for the invariant suites; guarded at q^n <= 2^12.
-    The node budget counts as in find_partition, with the same default;
-    running out raises BudgetExceeded, since a partial list is no census.
+    The node budget counts as in find_partition and comes from the
+    VSPART_BUDGET environment variable, else DEFAULT_NODE_BUDGET; running
+    out raises BudgetExceeded, since a partial list is no census.
     ValueError is raised for n < 1 and for a negative budget.
     """
     field = field_from_order(q)
     _require_positive_n(n)
     if q**n > ENUMERATE_ALL_LIMIT:
         raise TooLarge(f"{q}^{n} exceeds the enumeration guard 2^12")
-    budget = _node_budget(budget)
+    budget = _node_budget(None)
     dims = tuple(range(1, n + 1))
     uncapped = dict.fromkeys(dims, q**n)
     out: List[Partition] = []
@@ -513,15 +513,14 @@ class ScanReport:
         return not self.counterexamples
 
 
-def conjecture_scan(q: int, n: int, budget: Optional[int] = None) -> ScanReport:
+def conjecture_scan(q: int, n: int) -> ScanReport:
     """Scan every partition of V_n(q) for minimum-dimension counts below q^t + 1.
 
     The expectation is that no non-trivial partition falls below the bound;
-    any that does is returned as a counterexample.  The budget is that of
-    enumerate_all, which raises BudgetExceeded when it runs out.
-    ValueError is raised for n < 1 and for a negative budget.
+    any that does is returned as a counterexample.  The node budget is
+    that of enumerate_all, which raises BudgetExceeded when it runs out.
     """
-    parts = enumerate_all(q, n, budget)
+    parts = enumerate_all(q, n)
     min_s: Dict[int, int] = {}
     witnesses: Dict[int, PartitionType] = {}
     counterexamples: List[Partition] = []

@@ -101,10 +101,10 @@ def test_candidate_table_matches_enumerated_subspaces(q, n):
     included.  Each mask maps back to its subspace."""
     from vspart.gf import field_from_order
     from vspart.linalg import enumerate_subspaces, nonzero_mask
-    from vspart.search import _CandidateIndex, _Counter
+    from vspart.search import DEFAULT_NODE_BUDGET, _CandidateIndex, _Counter
 
     field = field_from_order(q)
-    index = _CandidateIndex(field, n, _Counter(None))
+    index = _CandidateIndex(field, n, _Counter(DEFAULT_NODE_BUDGET))
     for d in range(1, n + 1):
         expected = {}
         subspaces = enumerate_subspaces(field, n, d, budget=None)
@@ -231,20 +231,23 @@ def test_enumerate_all_v4_census():
     }
 
 
-def test_enumerate_all_budget():
+def test_enumerate_all_budget(monkeypatch):
     """enumerate_all(2, 3) takes 52 nodes: the tables of dimensions 1, 2
     and 3 charge 7 + 7 + 1, and the tree has 37 placements.  At that
     budget the census is complete; one node less raises, never a partial
-    list; a scan passes its budget on."""
+    list; a scan has the same budget."""
     full = enumerate_all(2, 3)
-    assert enumerate_all(2, 3, budget=52) == full
+    monkeypatch.setenv("VSPART_BUDGET", "52")
+    assert enumerate_all(2, 3) == full
+    assert conjecture_scan(2, 3).partitions_scanned == len(full)
+    monkeypatch.setenv("VSPART_BUDGET", "51")
     with pytest.raises(BudgetExceeded, match="more than 51 nodes"):
-        enumerate_all(2, 3, budget=51)
+        enumerate_all(2, 3)
     with pytest.raises(BudgetExceeded):
-        conjecture_scan(2, 3, budget=51)
-    assert conjecture_scan(2, 3, budget=52).partitions_scanned == len(full)
+        conjecture_scan(2, 3)
+    monkeypatch.setenv("VSPART_BUDGET", "-1")
     with pytest.raises(ValueError):
-        enumerate_all(2, 3, budget=-1)
+        enumerate_all(2, 3)
 
 
 def test_enumerate_all_guard():
