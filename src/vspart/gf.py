@@ -230,9 +230,6 @@ class FieldSpec:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         r = 1
         base = a

@@ -82,9 +82,6 @@ class PartitionType:
     def r(self) -> int:
         return sum(x for x, _ in self.pairs)
 
-    def dims_present(self) -> Tuple[int, ...]:
-        return tuple(d for x, d in self.pairs if x > 0)
-
     def point_count(self, q: int) -> int:
         return sum(x * (q**d - 1) for x, d in self.pairs)
 

@@ -13,31 +13,34 @@ canonical basis order, and holds no Subspace values.  A table is charged
 per table and built per group: the first use of dimension d charges all
 of its subspaces against the node budget, but a group is built, from
 the echelon bases in `linalg`, only when the search first asks for it.
-Most groups are never asked for.  Placed masks become subspaces only when a
-cover completes.  Each search frame keeps per-depth filtered lists: for
-each (d, v) its children ask for, the masks of group (d, v) that avoid
-the frame's covered set.  A node scans its parent's list, which is
-usually far shorter than the table group, so a candidate an ancestor
-ruled out is never looked at again (the caching idea of Knuth's "Dancing
-Links").  Filtering keeps table order, so the search order is unchanged.
+Most groups are never asked for.  Each search frame keeps per-depth
+filtered lists: for each (d, v) its children ask for, the masks of group
+(d, v) that avoid the frame's covered set.  A node scans its parent's
+list, which is usually far shorter than the table group, so a candidate
+an ancestor ruled out is never looked at again (the caching idea of
+Knuth's "Dancing Links").  Filtering keeps table order, so the search
+order is unchanged.
 
-The search itself is one flat loop (`_run`).  The current node's state is
-kept in local variables and pushed on a stack of tuples when the loop goes
-down a level; the goal enters only as per-dimension caps on how many
-components of each dimension may be placed, a feasibility test and a
-callback for each complete cover.
+The search itself is one flat loop, the generator `_covers`.  The current
+node's state is kept in local variables and pushed on a stack of tuples
+when the loop goes down a level; the goal enters only as per-dimension
+caps on how many components of each dimension may be placed and a
+feasibility test.  The loop yields each complete cover as a tuple of
+masks.  A find keeps the first that has every goal dimension; a census
+builds partitions only once the search has ended.
 
 Budget semantics: the node budget counts both tree expansions and generated
 candidate subspaces, and running out is always reported as its own outcome,
 never as exhaustion: a find returns the "budget" status, and
-enumerate_all, which has no partial answer, raises BudgetExceeded.
+enumerate_all and conjecture_scan, which have no partial answer, raise
+BudgetExceeded before building any partition.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, TooLarge
 from .gf import FieldSpec, field_from_order
@@ -108,9 +111,9 @@ class _CandidateIndex:
     is then built when first asked for.  tables[d] maps each built least
     vector code v to its masks, in canonical basis order.  Over GF(2) the
     span of a basis's other d - 1 rows is formed once and shared by every
-    group with the same leading column.  Placed masks become Subspace
-    values only when a cover completes, through a memo shared by every
-    cover the search completes.
+    group with the same leading column.  partition(cover) turns a cover's
+    masks into a Partition through a memo of subspaces shared by every
+    cover of the index.
     """
 
     def __init__(self, field: FieldSpec, n: int, counter: _Counter):
@@ -156,6 +159,10 @@ class _CandidateIndex:
                 spans.append((codes_mask(codes), (0, *codes)))
         return spans
 
+    def partition(self, cover: Sequence[int]) -> Partition:
+        """The partition whose components have the masks of cover."""
+        return Partition(self.field, self.n, tuple(map(self.subspace, cover)))
+
     def subspace(self, mask: int) -> Subspace:
         s = self._subspaces.get(mask)
         if s is None:
@@ -184,27 +191,25 @@ def _node_budget(budget: Optional[int]) -> int:
     return budget
 
 
-def _run(
-    field: FieldSpec,
-    n: int,
+def _covers(
+    index: _CandidateIndex,
     dims: Sequence[int],
     caps: Dict[int, int],
-    used: Dict[int, int],
-    feasible: Optional[Callable[[int], bool]],
-    complete: Callable[[Callable[[], Tuple[Subspace, ...]]], bool],
-    counter: _Counter,
+    feasible: Optional[Callable[[int, Dict[int, int]], bool]],
     candidate_order: Optional[Callable[[list], list]],
-) -> None:
-    """Depth-first exact cover in one flat loop, under a bounded counter.
+) -> Iterator[Tuple[int, ...]]:
+    """Every exact cover by subspaces of the dimensions in dims, depth first.
 
-    A node opens the dimensions of dims in turn, skipping each d with
-    used[d] >= caps[d]; `used` is kept in step with placements.
-    feasible(points_left) prunes after a placement, and complete(components)
-    consumes a full cover, returning True to stop the whole search.  The
-    node lives in locals: its least uncovered vector v, the position i of
-    the next dimension to open, the iterator `it` over the open candidate
-    list and that list's dimension d.  Going down pushes (v, i, it, d); an
-    exhausted node pops its parent's and undoes the placement that made it.
+    Yields each complete cover as the tuple of its masks in placement
+    order, and charges index.counter one node per placement, raising
+    _BudgetHit when the counter runs out.  A node opens the dimensions of
+    dims in turn, skipping each d with used[d] >= caps[d], where used[d]
+    counts the placed components of dimension d.  feasible(points_left,
+    used) prunes after a placement.  The node lives in locals: its least
+    uncovered vector v, the position i of the next dimension to open, the
+    iterator `it` over the open candidate list and that list's dimension d.
+    Going down pushes (v, i, it, d); an exhausted node pops its parent's
+    and undoes the placement that made it.
 
     Frame k is the node after k placements.  lists[k] maps each (d, v)
     its children asked for to the masks of table group (d, v) that avoid
@@ -216,9 +221,8 @@ def _run(
     are keyed by v << 6 | d (d <= n <= 20).  The index charges each table
     in full on first use but builds only the groups asked for here.
     """
-    q = field.q
+    q, n, counter = index.field.q, index.n, index.counter
     full = (1 << q**n) - 2
-    index = _CandidateIndex(field, n, counter)
     tables = index.tables
     # Group (d, v) is empty when v >= q^(n-d+1): the least nonzero vector
     # of a d-dimensional span has its leading 1 at coordinate n - d or
@@ -228,6 +232,7 @@ def _run(
     limit = counter.limit
     points = q**n - 1
     covered = 0
+    used = dict.fromkeys(dims, 0)
     placed: List[int] = []
     lists: List[Dict[int, Sequence[int]]] = [{}]
 
@@ -247,9 +252,6 @@ def _run(
             j += 1
             group = lists[j][key] = [m for m in group if not m & c]
         return group
-
-    def components() -> Tuple[Subspace, ...]:
-        return tuple(index.subspace(mask) for mask in placed)
 
     ndims = len(dims)
     stack: List[tuple] = []
@@ -290,9 +292,8 @@ def _run(
         used[d] += 1
         placed.append(mask)
         if covered == full:
-            if complete(components):
-                return
-        elif feasible is None or feasible(points - covered.bit_count()):
+            yield tuple(placed)
+        elif feasible is None or feasible(points - covered.bit_count(), used):
             lists.append({})
             stack.append((v, i, it, d))
             free = full & ~covered
@@ -302,15 +303,14 @@ def _run(
         used[d] -= 1
 
 
-def _find_by_type(
-    field: FieldSpec,
-    n: int,
-    goal: PartitionType,
-    counter: _Counter,
-    candidate_order,
-) -> SearchOutcome:
-    q = field.q
-    goal = goal.normalized()
+# How a goal enters the search: its dimensions in branching order, the cap
+# on the components of each, and a feasibility test or None.
+_Plan = Tuple[Tuple[int, ...], Dict[int, int], Optional[Callable[[int, Dict[int, int]], bool]]]
+
+
+def _type_plan(q: int, n: int, goal: PartitionType) -> Optional[_Plan]:
+    """The plan for a normalized type goal, or None when counting or a
+    dimension pair certifies nonexistence outright."""
     multiplicity = {d: x for x, d in goal.pairs}
     # Branch on large components first: they are the scarce resource, and
     # placing them early prunes hopeless covers by orders of magnitude.
@@ -318,54 +318,23 @@ def _find_by_type(
     # Counting or dimension-pair violations certify nonexistence outright:
     # two disjoint subspaces must have dimensions summing to at most n.
     if goal.point_count(q) != q**n - 1:
-        return SearchOutcome(EXHAUSTED, None, 0)
+        return None
     for i, d1 in enumerate(dims):
         if 2 * d1 > n and multiplicity[d1] > 1:
-            return SearchOutcome(EXHAUSTED, None, 0)
+            return None
         if any(d1 + d2 > n for d2 in dims[i + 1 :]):
-            return SearchOutcome(EXHAUSTED, None, 0)
-    used = {d: 0 for d in dims}
-    found: List[Partition] = []
-
-    def complete(components) -> bool:
-        found.append(Partition(field, n, components()))
-        return True
-
-    try:
-        _run(field, n, dims, multiplicity, used, None, complete, counter, candidate_order)
-    except _BudgetHit:
-        return SearchOutcome(BUDGET, None, counter.nodes)
-    if found:
-        return SearchOutcome(FOUND, _certified(found[0], goal), counter.nodes)
-    return SearchOutcome(EXHAUSTED, None, counter.nodes)
+            return None
+    # With the caps at the multiplicities and the point count exact, every
+    # cover has exactly the goal's type.
+    return dims, multiplicity, None
 
 
-def _certified(p: Partition, goal) -> Partition:
-    # The engine guarantees both properties; keep the contract literal, and
-    # in force under python -O.
-    if not verify_partition(p).valid:
-        raise AssertionError("search produced an invalid partition")
-    if isinstance(goal, PartitionType):
-        got, wanted = type_of(p), goal
-    else:
-        got, wanted = {c.dim for c in p.components}, set(goal)
-    if got != wanted:
-        raise AssertionError(f"search produced {got}, wanted {wanted}")
-    return p
-
-
-def _find_by_dims(
-    field: FieldSpec,
-    n: int,
-    dims: Tuple[int, ...],
-    counter: _Counter,
-    candidate_order,
-) -> SearchOutcome:
-    q = field.q
+def _dims_plan(q: int, n: int, dims: Tuple[int, ...]) -> Optional[_Plan]:
+    """The plan for a dimension-set goal, or None when a dimension pair
+    certifies nonexistence outright."""
     if any(d1 + d2 > n for i, d1 in enumerate(dims) for d2 in dims[i + 1 :]):
-        return SearchOutcome(EXHAUSTED, None, 0)
+        return None
     dims = tuple(sorted(dims, reverse=True))
-    used = {d: 0 for d in dims}
     capped = {d for d in dims if 2 * d > n}
     # Two subspaces of dimension d > n / 2 always meet, so such a d is
     # placed at most once; the others are bounded by the point count.
@@ -373,9 +342,8 @@ def _find_by_dims(
     terms = {d: q**d - 1 for d in dims}
     desc = list(dims)
     feas_memo: Dict[Tuple[int, frozenset, Tuple[int, ...]], bool] = {}
-    found: List[Partition] = []
 
-    def feasible(points_left: int) -> bool:
+    def feasible(points_left: int, used: Dict[int, int]) -> bool:
         # Residual counting feasibility: the points still uncovered must be
         # expressible with the available dimensions, every missing dimension
         # used at least once and capped dimensions at most once.
@@ -415,18 +383,40 @@ def _find_by_dims(
         feas_memo[key] = ok
         return ok
 
-    def complete(components) -> bool:
-        if any(used[d] == 0 for d in dims):
-            return False
-        found.append(Partition(field, n, components()))
-        return True
+    return dims, caps, feasible
 
-    try:
-        _run(field, n, dims, caps, used, feasible, complete, counter, candidate_order)
-    except _BudgetHit:
-        return SearchOutcome(BUDGET, None, counter.nodes)
-    if found:
-        return SearchOutcome(FOUND, _certified(found[0], dims), counter.nodes)
+
+def _certified(p: Partition, goal) -> Partition:
+    # The engine guarantees both properties; keep the contract literal, and
+    # in force under python -O.
+    if not verify_partition(p).valid:
+        raise AssertionError("search produced an invalid partition")
+    if isinstance(goal, PartitionType):
+        got, wanted = type_of(p), goal
+    else:
+        got, wanted = {c.dim for c in p.components}, set(goal)
+    if got != wanted:
+        raise AssertionError(f"search produced {got}, wanted {wanted}")
+    return p
+
+
+def _find(
+    index: _CandidateIndex, goal, plan: Optional[_Plan], candidate_order
+) -> SearchOutcome:
+    """The first cover in the plan's stream that has every dimension of the
+    plan, certified against the goal; else exhaustion or a budget stop."""
+    counter = index.counter
+    if plan is not None:
+        dims, caps, feasible = plan
+        # A cover can fit the caps and still miss a dimension of a set goal.
+        sizes = {index.field.q**d - 1 for d in dims}
+        try:
+            for cover in _covers(index, dims, caps, feasible, candidate_order):
+                if sizes <= {m.bit_count() for m in cover}:
+                    p = _certified(index.partition(cover), goal)
+                    return SearchOutcome(FOUND, p, counter.nodes)
+        except _BudgetHit:
+            return SearchOutcome(BUDGET, None, counter.nodes)
     return SearchOutcome(EXHAUSTED, None, counter.nodes)
 
 
@@ -454,13 +444,36 @@ def find_partition(
     _require_positive_n(n)
     if q**n > SEARCH_SPACE_LIMIT:
         raise TooLarge(f"{q}^{n} exceeds the search guard 2^20")
-    counter = _Counter(_node_budget(budget))
+    index = _CandidateIndex(field, n, _Counter(_node_budget(budget)))
     if isinstance(goal, PartitionType):
-        return _find_by_type(field, n, goal, counter, candidate_order)
-    dims = tuple(sorted(set(int(d) for d in goal)))
-    if not dims or dims[0] < 1 or dims[-1] > n:
-        raise ValueError("dimension-set goal must contain dimensions in 1..n")
-    return _find_by_dims(field, n, dims, counter, candidate_order)
+        goal = goal.normalized()
+        plan = _type_plan(q, n, goal)
+    else:
+        goal = tuple(sorted(set(int(d) for d in goal)))
+        if not goal or goal[0] < 1 or goal[-1] > n:
+            raise ValueError("dimension-set goal must contain dimensions in 1..n")
+        plan = _dims_plan(q, n, goal)
+    return _find(index, goal, plan, candidate_order)
+
+
+def _census(q: int, n: int) -> Tuple[_CandidateIndex, List[Tuple[int, ...]]]:
+    """Every cover of V_n(q) as masks, in search order, with the index that
+    maps its masks to subspaces.  Guards, budget and errors are those of
+    enumerate_all; a budget stop raises before anything is built from a
+    cover."""
+    field = field_from_order(q)
+    _require_positive_n(n)
+    if q**n > ENUMERATE_ALL_LIMIT:
+        raise TooLarge(f"{q}^{n} exceeds the enumeration guard 2^12")
+    budget = _node_budget(None)
+    index = _CandidateIndex(field, n, _Counter(budget))
+    dims = tuple(range(1, n + 1))
+    try:
+        return index, list(_covers(index, dims, dict.fromkeys(dims, q**n), None, None))
+    except _BudgetHit:
+        raise BudgetExceeded(
+            f"enumerating V_{n}(GF({q})) needs more than {budget} nodes"
+        ) from None
 
 
 def enumerate_all(q: int, n: int) -> List[Partition]:
@@ -472,29 +485,8 @@ def enumerate_all(q: int, n: int) -> List[Partition]:
     out raises BudgetExceeded, since a partial list is no census.
     ValueError is raised for n < 1 and for a negative budget.
     """
-    field = field_from_order(q)
-    _require_positive_n(n)
-    if q**n > ENUMERATE_ALL_LIMIT:
-        raise TooLarge(f"{q}^{n} exceeds the enumeration guard 2^12")
-    budget = _node_budget(None)
-    dims = tuple(range(1, n + 1))
-    uncapped = dict.fromkeys(dims, q**n)
-    out: List[Partition] = []
-
-    def complete(components) -> bool:
-        out.append(Partition(field, n, components()))
-        return False
-
-    try:
-        _run(
-            field, n, dims, uncapped, dict.fromkeys(dims, 0),
-            None, complete, _Counter(budget), None,
-        )
-    except _BudgetHit:
-        raise BudgetExceeded(
-            f"enumerating V_{n}(GF({q})) needs more than {budget} nodes"
-        ) from None
-    return out
+    index, covers = _census(q, n)
+    return [index.partition(cover) for cover in covers]
 
 
 @dataclass(frozen=True)
@@ -517,22 +509,24 @@ def conjecture_scan(q: int, n: int) -> ScanReport:
     """Scan every partition of V_n(q) for minimum-dimension counts below q^t + 1.
 
     The expectation is that no non-trivial partition falls below the bound;
-    any that does is returned as a counterexample.  The node budget is
-    that of enumerate_all, which raises BudgetExceeded when it runs out.
+    any that does is returned as a counterexample.  Guards and node budget
+    are those of enumerate_all, and so is the BudgetExceeded a budget stop
+    raises.  Only a counterexample is built as a Partition.
     """
-    parts = enumerate_all(q, n)
+    index, covers = _census(q, n)
+    dim_of = {q**d - 1: d for d in range(1, n + 1)}
     min_s: Dict[int, int] = {}
     witnesses: Dict[int, PartitionType] = {}
     counterexamples: List[Partition] = []
-    for p in parts:
-        if p.r < 2:
+    for cover in covers:
+        if len(cover) < 2:
             continue
-        dims = [c.dim for c in p.components]
+        dims = [dim_of[m.bit_count()] for m in cover]
         t = min(dims)
         s = dims.count(t)
         if t not in min_s or s < min_s[t]:
             min_s[t] = s
-            witnesses[t] = type_of(p)
+            witnesses[t] = PartitionType(tuple((dims.count(d), d) for d in sorted(set(dims))))
         if s < q**t + 1:
-            counterexamples.append(p)
-    return ScanReport(q, n, len(parts), min_s, witnesses, counterexamples)
+            counterexamples.append(index.partition(cover))
+    return ScanReport(q, n, len(covers), min_s, witnesses, counterexamples)

@@ -319,3 +319,51 @@ def test_scan_gf3():
     assert rep.clean
     assert rep.min_s == {1: 4}
     assert rep.witnesses[1] == PartitionType.of((4, 1))
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_scan_matches_census(q, n):
+    """conjecture_scan reads dimensions off the covers; the oracle computes
+    the same report from the enumerate_all census."""
+    parts = enumerate_all(q, n)
+    min_s, witnesses, counterexamples = {}, {}, []
+    for p in parts:
+        if p.r < 2:
+            continue
+        dims = [c.dim for c in p.components]
+        t = min(dims)
+        s = dims.count(t)
+        if t not in min_s or s < min_s[t]:
+            min_s[t] = s
+            witnesses[t] = type_of(p)
+        if s < q**t + 1:
+            counterexamples.append(p)
+    rep = conjecture_scan(q, n)
+    assert (rep.partitions_scanned, rep.min_s, rep.witnesses, rep.counterexamples) == (
+        len(parts), min_s, witnesses, counterexamples
+    )
+
+
+def test_budget_stop_builds_no_partition(monkeypatch):
+    """A census stopped by its budget has built no Partition.  At the default
+    budget enumerate_all builds one per cover, and a clean scan none."""
+    import vspart.search as search_module
+
+    built = []
+
+    class Counting(search_module.Partition):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(search_module, "Partition", Counting)
+    monkeypatch.delenv("VSPART_BUDGET", raising=False)
+    assert len(enumerate_all(2, 4)) == len(built) == 1228
+    built.clear()
+    assert conjecture_scan(2, 4).clean
+    assert not built
+    monkeypatch.setenv("VSPART_BUDGET", "1000")
+    for census in (enumerate_all, conjecture_scan):
+        with pytest.raises(BudgetExceeded, match="more than 1000 nodes"):
+            census(2, 4)
+    assert not built
