@@ -29,8 +29,7 @@ _EXPORTS = {
         ("gf", "ExtField FieldSpec field_from_order make_field"),
         ("io", "read_partition write_partition"),
         ("linalg", "Subspace canonicalize complement contains coordinate_subspace "
-                   "enumerate_nonzero enumerate_subspaces full_space gaussian_binomial join "
-                   "meet zero_space"),
+                   "enumerate_subspaces full_space gaussian_binomial join meet"),
         ("partition", "BoundReport Partition PartitionType VerificationReport bound_report "
                       "induce is_T_partition refine trivial_partition type_of verify"),
         ("search", "ScanReport SearchOutcome conjecture_scan enumerate_all find_partition"),

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .dioph import TypeSolution, annotate, solve
+from .dioph import TypeSolution, annotate, ruled_out, solve
 from .errors import (
     BadDimensions,
     BudgetExceeded,
@@ -192,11 +192,10 @@ def typed_construct(q: int, n: int, ptype: PartitionType) -> Partition:
     dims = tuple(d for _, d in ptype.pairs)
     x = tuple(xi for xi, _ in ptype.pairs)
     k = len(dims)
-    if ptype.point_count(q) != q**n - 1:
+    failing = ruled_out(q, n, ptype)
+    if failing == ("counting",):
         raise UnsupportedType(f"{ptype} does not solve the counting equation at q={q}, n={n}")
-    annotated = annotate(TypeSolution(q, n, dims, x))
-    if not annotated.passes_all():
-        failing = [name for name, ok in annotated.flags.items() if not ok]
+    if failing:
         raise UnsupportedType(f"{ptype} fails necessary conditions: {', '.join(failing)}")
     if k == 1:
         out = spread(q, n, dims[0])

@@ -5,7 +5,8 @@ counting equation sum_i (q^{n_i} - 1) x_i = q^n - 1.  This module
 enumerates the non-negative solutions for a fixed dimension list and
 annotates each with the stack of known necessary conditions.  Passing
 every flag never asserts that a partition exists; failing any flag proves
-it does not.
+it does not.  `ruled_out` is that proof for one type, and the only
+nonexistence test that search and construct apply to a type.
 
 Neither enumeration tries a count and tests it afterwards: `solve` steps
 the last two counts through the one residue class that can balance the
@@ -129,7 +130,8 @@ def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> Li
                 rec(i + 1, rem - x * terms[i], prefix + (x,))
         elif rem % g == 0:
             xs = range((rem // g) * inverse % step, rem // t + 1, step)
-            reserve(len(xs))
+            # Counted, not len(xs): the class can outgrow sys.maxsize.
+            reserve((xs.stop - xs.start + step - 1) // step)
             out.extend(TypeSolution(q, n, dims, prefix + (x, (rem - x * t) // last)) for x in xs)
 
     rec(0, target, ())
@@ -221,6 +223,21 @@ def annotate(sol: TypeSolution, hyperplane_depth: int = 1) -> TypeSolution:
         "r_residue": (not nontrivial) or r % q**t == 1,
     }
     return replace(sol, flags=flags)
+
+
+def ruled_out(q: int, n: int, ptype: PartitionType) -> Tuple[str, ...]:
+    """Why no partition of V_n(q) has type ptype, or () if nothing rules it out.
+
+    ("counting",) when the counts miss the counting equation, else the
+    names of the failing flags of annotate, in FLAG_NAMES order.  Among
+    them is the paper's bound (min_count_qt): a non-trivial partition has
+    at least q + t components of its least dimension t.
+    """
+    if ptype.point_count(q) != q**n - 1:
+        return ("counting",)
+    dims = tuple(d for _, d in ptype.pairs)
+    flags = annotate(TypeSolution(q, n, dims, tuple(x for x, _ in ptype.pairs))).flags
+    return tuple(name for name in FLAG_NAMES if not flags[name])
 
 
 def classify_gf2_23(n: int) -> List[Tuple[TypeSolution, bool]]:

@@ -16,12 +16,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import BudgetExceeded, DimensionMismatch, TooLarge
+from .errors import BudgetExceeded, DimensionMismatch
 from .gf import FieldSpec
 
 Vector = Tuple[int, ...]
 
-NONZERO_ENUM_LIMIT = 1 << 24
 SUBSPACE_ENUM_BUDGET = 2_000_000
 
 
@@ -122,10 +121,6 @@ def canonicalize(vectors: Iterable[Sequence[int]], field: FieldSpec, n: int) -> 
     rows = _check_vectors(vectors, field, n)
     basis, pivots = _rref(rows, field, n)
     return Subspace(field, n, basis, pivots)
-
-
-def zero_space(field: FieldSpec, n: int) -> Subspace:
-    return Subspace(field, n, (), ())
 
 
 def full_space(field: FieldSpec, n: int) -> Subspace:
@@ -287,14 +282,6 @@ def codes_mask(codes: Iterable[int]) -> int:
 def nonzero_mask(s: Subspace) -> int:
     """Bitmask with one bit per nonzero vector of s, indexed by vector code."""
     return codes_mask(subspace_vector_codes(s))
-
-
-def enumerate_nonzero(s: Subspace) -> List[Vector]:
-    """The q^d - 1 nonzero vectors of s, ordered by integer encoding."""
-    if s.field.q**s.dim > NONZERO_ENUM_LIMIT:
-        raise TooLarge(f"subspace with {s.field.q}^{s.dim} elements exceeds the enumeration guard")
-    codes = sorted(subspace_vector_codes(s))
-    return [decode_vector(c, s.field.q, s.n) for c in codes]
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

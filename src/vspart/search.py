@@ -42,6 +42,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .dioph import ruled_out
 from .errors import BudgetExceeded, TooLarge
 from .gf import FieldSpec, field_from_order
 from .linalg import (
@@ -71,8 +72,10 @@ BUDGET = "budget"
 class SearchOutcome:
     """Result of a partition search.
 
-    status is "found" (partition attached), "exhausted" (complete search
-    found none, a nonexistence certificate at this scale), or "budget".
+    status is "found" (partition attached), "exhausted" (no partition
+    exists: a complete search found none, or, for a type goal, one of the
+    necessary conditions of dioph.ruled_out fails, such as the counting
+    equation, a dimension pair or the paper's s >= q + t), or "budget".
     """
 
     status: str
@@ -308,27 +311,6 @@ def _covers(
 _Plan = Tuple[Tuple[int, ...], Dict[int, int], Optional[Callable[[int, Dict[int, int]], bool]]]
 
 
-def _type_plan(q: int, n: int, goal: PartitionType) -> Optional[_Plan]:
-    """The plan for a normalized type goal, or None when counting or a
-    dimension pair certifies nonexistence outright."""
-    multiplicity = {d: x for x, d in goal.pairs}
-    # Branch on large components first: they are the scarce resource, and
-    # placing them early prunes hopeless covers by orders of magnitude.
-    dims = tuple(sorted(multiplicity, reverse=True))
-    # Counting or dimension-pair violations certify nonexistence outright:
-    # two disjoint subspaces must have dimensions summing to at most n.
-    if goal.point_count(q) != q**n - 1:
-        return None
-    for i, d1 in enumerate(dims):
-        if 2 * d1 > n and multiplicity[d1] > 1:
-            return None
-        if any(d1 + d2 > n for d2 in dims[i + 1 :]):
-            return None
-    # With the caps at the multiplicities and the point count exact, every
-    # cover has exactly the goal's type.
-    return dims, multiplicity, None
-
-
 def _dims_plan(q: int, n: int, dims: Tuple[int, ...]) -> Optional[_Plan]:
     """The plan for a dimension-set goal, or None when a dimension pair
     certifies nonexistence outright."""
@@ -438,7 +420,10 @@ def find_partition(
     or exhaustion, or a budget stop.  candidate_order is a testing hook:
     it receives the list of candidate masks (bitmasks over vector codes,
     in table order) that a node scans for one dimension and returns them
-    in the order to try.  It cannot change an exhaustion verdict.
+    in the order to try.  It cannot change an exhaustion verdict.  A type
+    goal that dioph.ruled_out rules out (the counting equation, the
+    dimension pairs, the paper's s >= q + t and the other flags of
+    dioph.annotate) is exhausted at 0 nodes.
     """
     field = field_from_order(q)
     _require_positive_n(n)
@@ -447,7 +432,14 @@ def find_partition(
     index = _CandidateIndex(field, n, _Counter(_node_budget(budget)))
     if isinstance(goal, PartitionType):
         goal = goal.normalized()
-        plan = _type_plan(q, n, goal)
+        multiplicity = {d: x for x, d in goal.pairs}
+        # Branch on large components first: they are the scarce resource,
+        # and placing them early prunes hopeless covers by orders of
+        # magnitude.  With the caps at the multiplicities and the point
+        # count exact, every cover has exactly the goal's type.
+        plan = None if ruled_out(q, n, goal) else (
+            tuple(sorted(multiplicity, reverse=True)), multiplicity, None
+        )
     else:
         goal = tuple(sorted(set(int(d) for d in goal)))
         if not goal or goal[0] < 1 or goal[-1] > n:

@@ -50,6 +50,15 @@ def test_search_exhausted_exit(capsys):
     assert "exhausted" in out
 
 
+def test_search_certified_type_exits_1_at_zero_nodes(capsys):
+    # 1x1,10x2 fails the paper's s >= q + t, so no node is spent on it.
+    code, out, _ = run_cli(
+        capsys, "search", "--q", "2", "--n", "5", "--type", "1x1,10x2", "--budget", "1000", "--json"
+    )
+    assert code == 1
+    assert json.loads(out) == {"nodes": 0, "status": "exhausted", "type": None}
+
+
 def test_search_found_writes_file(tmp_path, capsys):
     out_file = tmp_path / "found.part"
     code, out, _ = run_cli(
@@ -168,6 +177,20 @@ def test_enumeration_budget_stop_exits_2_at_once(command):
     assert proc.stderr.splitlines() == [
         "budget exceeded: enumerating V_4(GF(3)) needs more than 10000 nodes"
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--q", "2", "--n", "100", "--dims", "1,2"],
+    ["construct", "tpartition", "--q", "2", "--T", "1,2", "--n", "70"],
+])
+def test_solution_class_past_maxsize_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(vspart.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vspart.cli", *argv], capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["budget exceeded: more than 1000000 solutions"]
 
 
 def test_classify(capsys):

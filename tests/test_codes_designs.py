@@ -11,7 +11,6 @@ from vspart.linalg import (
     canonicalize,
     decode_vector,
     encode_vector,
-    enumerate_nonzero,
     enumerate_subspaces,
     kernel_basis,
     vec_add,
@@ -330,7 +329,9 @@ def reference_design_classes(p):
     points = [decode_vector(v, q, n) for v in range(q**n)]
     classes = []
     for c in p.components:
-        members = [(0,) * n] + enumerate_nonzero(c)
+        members = [(0,) * n]
+        for row in c.basis:
+            members = [vec_add(field, m, vec_scale(field, a, row)) for m in members for a in range(q)]
         blocks = {tuple(sorted(encode_vector(vec_add(field, x, m), q) for m in members)) for x in points}
         classes.append(tuple(sorted(blocks)))
     return tuple(classes)

@@ -216,11 +216,18 @@ def test_typed_with_zero_multiplicity():
 def test_typed_rejects_filtered_type():
     with pytest.raises(UnsupportedType):
         typed_construct(2, 5, PartitionType.of((1, 2), (4, 3)))
+    with pytest.raises(UnsupportedType) as exc:
+        typed_construct(2, 5, PartitionType.of((1, 1), (10, 2)))
+    assert str(exc.value) == (
+        "[(1,1), (10,2)] fails necessary conditions: "
+        "min_count_two, min_lines_three, min_count_q1, min_count_qt"
+    )
 
 
 def test_typed_rejects_non_solution():
-    with pytest.raises(UnsupportedType):
+    with pytest.raises(UnsupportedType) as exc:
         typed_construct(2, 5, PartitionType.of((2, 2), (4, 3)))
+    assert str(exc.value) == "[(2,2), (4,3)] does not solve the counting equation at q=2, n=5"
 
 
 def test_typed_rejects_open_cases():

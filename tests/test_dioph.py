@@ -7,8 +7,16 @@ from typing import Dict, Tuple
 import pytest
 
 import vspart.gf
-from vspart.dioph import TypeSolution, _hyperplane_splittable, annotate, classify_gf2_23, solve
+from vspart.dioph import (
+    TypeSolution,
+    _hyperplane_splittable,
+    annotate,
+    classify_gf2_23,
+    ruled_out,
+    solve,
+)
 from vspart.errors import BudgetExceeded, NotASolution
+from vspart.partition import PartitionType
 
 
 def brute_force_solutions(q, n, dims):
@@ -61,6 +69,13 @@ def test_solve_complete_against_box_scan(q, n, dims):
 def test_solve_budget():
     with pytest.raises(BudgetExceeded):
         solve(2, 12, (1, 2), budget=5)
+
+
+def test_solve_budget_counts_a_class_past_maxsize():
+    # The residue class of the last two counts has about 2^99 members,
+    # more than len() of a range can report.
+    with pytest.raises(BudgetExceeded, match="^more than 1000000 solutions$"):
+        solve(2, 100, (1, 2))
 
 
 @pytest.mark.parametrize("q,n,dims", [(2, 10, (2, 3)), (2, 8, (2, 4)), (3, 5, (1, 2, 3)), (2, 6, (2,))])
@@ -210,6 +225,28 @@ def test_flag_soundness_against_search_oracle():
                 q, n, tuple(d for _, d in t.pairs), tuple(x for x, _ in t.pairs)
             )
             assert annotate(sol).passes_all(), f"flags rejected realizable {t} at q={q}, n={n}"
+
+
+@pytest.mark.parametrize(
+    "q,n,text,reasons",
+    [
+        (2, 5, "2x2,4x3", ("counting",)),
+        (2, 5, "1x2,4x3", ("dim_pairs", "min_count_two", "min_count_q1", "min_count_qt")),
+        (2, 5, "1x1,10x2", ("min_count_two", "min_lines_three", "min_count_q1", "min_count_qt")),
+        (2, 3, "1x1,2x2", ("dim_pairs", "min_count_two", "min_lines_three", "min_count_q1",
+                           "min_count_qt")),
+        (2, 5, "8x2,1x3", ()),
+        (2, 6, "21x2,0x4", ()),
+        (3, 2, "1x2", ()),
+    ],
+)
+def test_ruled_out(q, n, text, reasons):
+    ptype = PartitionType.parse(text)
+    assert ruled_out(q, n, ptype) == reasons
+    if reasons != ("counting",):
+        sol = annotate(TypeSolution(q, n, tuple(d for _, d in ptype.pairs),
+                                    tuple(x for x, _ in ptype.pairs)))
+        assert reasons == tuple(name for name, ok in sol.flags.items() if not ok)
 
 
 # ---------------------------------------------------------------------------

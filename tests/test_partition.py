@@ -286,10 +286,10 @@ def test_induce_corpus_on_every_hyperplane():
 
 
 def test_induce_zero_subspace_rejected():
-    from vspart.linalg import zero_space
+    from vspart.linalg import Subspace
 
     with pytest.raises(ZeroSubspace):
-        induce(spread(2, 4, 2), zero_space(GF2, 4))
+        induce(spread(2, 4, 2), Subspace(GF2, 4, (), ()))
 
 
 # ---------------------------------------------------------------------------

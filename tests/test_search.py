@@ -1,10 +1,11 @@
 """Exact-cover engine: search, full enumeration, scan."""
 
+import itertools
 import random
 
 import pytest
 
-from vspart.dioph import solve
+from vspart.dioph import ruled_out, solve
 from vspart.errors import BudgetExceeded, TooLarge
 from vspart.partition import PartitionType, bound_report, is_T_partition, type_of, verify
 from vspart.search import (
@@ -21,6 +22,32 @@ def test_find_excluded_type_is_exhausted():
     out = find_partition(2, 5, PartitionType.of((1, 2), (4, 3)))
     assert out.status == EXHAUSTED
     assert out.partition is None
+
+
+def test_paper_bound_certifies_exhaustion_at_zero_nodes():
+    # 1x1,10x2 passes counting and the dimension pairs, but a non-trivial
+    # partition has at least q + t = 3 one-dimensional components.
+    out = find_partition(2, 5, PartitionType.of((1, 1), (10, 2)), budget=1000)
+    assert (out.status, out.nodes, out.partition) == (EXHAUSTED, 0, None)
+
+
+# newly: the types that pass counting and the dimension pairs but fail
+# another flag: 1 in V_5(2) and 6 in V_6(2).
+@pytest.mark.parametrize("q,nmax,newly", [(2, 6, 7), (3, 4, 0), (4, 3, 0)])
+def test_exhausted_at_budget_zero_exactly_when_ruled_out(q, nmax, newly):
+    certified = 0
+    for n in range(1, nmax + 1):
+        for size in (1, 2, 3):
+            for dims in itertools.combinations(range(1, n + 1), size):
+                for sol in solve(q, n, dims):
+                    if 0 in sol.x:
+                        continue
+                    reasons = ruled_out(q, n, sol.as_type())
+                    out = find_partition(q, n, sol.as_type(), budget=0)
+                    assert out.status == (EXHAUSTED if reasons else BUDGET), (q, n, sol)
+                    assert out.nodes == 0
+                    certified += bool(reasons) and reasons[0] not in ("counting", "dim_pairs")
+    assert certified == newly
 
 
 def test_find_realizable_type():

@@ -25,8 +25,9 @@ from vspart.search import find_partition
 
 GOLDEN = Path(__file__).with_name("data") / "search_pins.json"
 NMAX = {2: 5, 3: 4, 4: 3, 5: 2, 8: 2, 9: 2}
-# Goals searched under a node budget: 1x1,10x2 in V_5(2) is exhausted only
-# after 15,906,499 nodes.
+# Goals searched under a node budget.  1x1,10x2 in V_5(2) fails the paper's
+# s >= q + t and is exhausted at 0 nodes; a search of its tree takes
+# 15,906,499 nodes, so the budget bounds the suite if that certificate is lost.
 CAPPED = {(2, 5, "1x1,10x2"): 100_000}
 # Finds whose node count N is pinned at the budgets N - 1 and N as well.
 BOUNDARY = [
