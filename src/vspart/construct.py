@@ -39,7 +39,7 @@ from .partition import (
     type_of,
     verify,
 )
-from .search import BUDGET, FOUND, find_partition
+from .search import BUDGET, FOUND, _node_budget, find_partition
 
 
 def _checked(p: Partition) -> Partition:
@@ -183,28 +183,27 @@ def hyperplane_section(q: int, k: int, d: int) -> Partition:
 def typed_construct(q: int, n: int, ptype: PartitionType) -> Partition:
     """Closed-form construction for one- and two-dimension types.
 
-    Covers exactly: a single dimension (a spread), or two dimensions
-    summing to n (a spread when the top multiplicity is 0, the near-spread
-    when it is 1).  Anything else, including types failing the necessary
+    Covers exactly, once zero multiplicities are dropped: a single
+    dimension (a spread), or two dimensions summing to n (the
+    near-spread).  Anything else, including types failing the necessary
     conditions, raises UnsupportedType; the caller should fall back to
     search.
     """
-    dims = tuple(d for _, d in ptype.pairs)
-    x = tuple(xi for xi, _ in ptype.pairs)
-    k = len(dims)
     failing = ruled_out(q, n, ptype)
     if failing == ("counting",):
         raise UnsupportedType(f"{ptype} does not solve the counting equation at q={q}, n={n}")
     if failing:
         raise UnsupportedType(f"{ptype} fails necessary conditions: {', '.join(failing)}")
-    if k == 1:
+    present = ptype.normalized()
+    dims = tuple(d for _, d in present.pairs)
+    if len(dims) == 1:
         out = spread(q, n, dims[0])
-    elif k == 2 and dims[0] + dims[1] == n:
-        out = spread(q, n, dims[0]) if x[1] == 0 else near_spread(q, n, dims[0])
+    elif len(dims) == 2 and dims[0] + dims[1] == n:
+        out = near_spread(q, n, dims[0])
     else:
         raise UnsupportedType(f"{ptype} is outside the closed-form cases; use search")
     built = type_of(out)
-    if built != ptype.normalized():
+    if built != present:
         raise AssertionError(f"built type {built} does not match request {ptype}")
     return Partition(
         out.field, n, out.components,
@@ -283,7 +282,8 @@ def build_t_partition(
       spread               T is a single dimension;
       lines-refined-base   n = 2m and 1 in T: the half base for T - {1},
                            with one smallest component split into lines;
-      half base            n = 2m otherwise (see _half_base);
+      half base            n = 2m otherwise: the spread, a near-spread
+                           refined recursively, or one search for T;
       gcd-split            n > 2m and some d in T divides gcd(n, 2m): a
                            d-spread of V_2m lifted across n - 2m, its two
                            blocks refined into a T-partition and a d-spread;
@@ -299,7 +299,8 @@ def build_t_partition(
     Parameters matching no rule raise UncoveredCase carrying the annotated
     count solutions, and parameters whose count equation is infeasible or
     fails the necessary conditions are rejected the same way up front.
-    Every recursive build strictly decreases n.
+    Every recursive build strictly decreases n.  The node budget is read
+    as by find_partition, and a negative one raises ValueError up front.
     """
     T = tuple(sorted(set(int(d) for d in dims)))
     if not T or T[0] < 1:
@@ -307,6 +308,7 @@ def build_t_partition(
     if T[-1] > n:
         raise BadDimensions(f"dimension {T[-1]} exceeds the ambient dimension {n}")
     field_from_order(q)  # validates q before any heavier work
+    budget = _node_budget(budget)
     solutions, passing = _solutions(q, n, T)
     if not passing:
         if not solutions:
@@ -328,7 +330,7 @@ def build_t_partition(
 
 
 def _rule_chain(
-    q: int, T: Tuple[int, ...], n: int, passing: Sequence[TypeSolution], budget: Optional[int]
+    q: int, T: Tuple[int, ...], n: int, passing: Sequence[TypeSolution], budget: int
 ) -> Optional[_Built]:
     nk = T[-1]
     if len(T) == 1:
@@ -336,11 +338,11 @@ def _rule_chain(
 
     if n == 2 * nk:
         if T[0] != 1:
-            return _half_base(q, T, n, passing, budget)
+            return _half_base(q, T, n, budget)
         # Enough components of the smallest remaining dimension survive,
         # because the minimum-count bound guarantees at least q + min(rest).
         rest = T[1:]
-        inner = _finish(rest, n, _half_base(q, rest, n, _solutions(q, n, rest)[1], budget))
+        inner = _finish(rest, n, _half_base(q, rest, n, budget))
         victim = _first_component_of_dim(inner, rest[0])
         out = refine(inner, victim, spread(q, victim.dim, 1))
         return "lines-refined-base", out, {"base": inner.provenance}
@@ -394,14 +396,12 @@ def _rule_chain(
     return None
 
 
-def _half_base(
-    q: int, T: Tuple[int, ...], n: int, passing: Sequence[TypeSolution], budget: Optional[int]
-) -> _Built:
+def _half_base(q: int, T: Tuple[int, ...], n: int, budget: int) -> _Built:
     """Construction at n = 2 * max(T) with all dimensions at least 2.
 
     A single dimension is the spread; otherwise a near-spread whose big
-    component is refined recursively, and last the exact-cover search over
-    the surviving count vectors.
+    component is refined recursively, and last one exact-cover search for
+    the dimension set T.
     """
     if len(T) == 1:
         return "half-base-typed", spread(q, n, T[0]), {}
@@ -417,15 +417,12 @@ def _half_base(
             out = refine(ns, _first_component_of_dim(ns, n - d), inner)
             if is_T_partition(out, T):
                 return "half-base-refine", out, {"d": d}
-    for sol in passing:
-        outcome = find_partition(q, n, sol.as_type(), budget=budget)
-        if outcome.status == FOUND:
-            return "half-base-search", outcome.partition, {"type": sol.as_type().format()}
-        if outcome.status == BUDGET:
-            raise BudgetExceeded(
-                f"search for type {sol.as_type().format()} ran out of budget"
-            )
+    outcome = find_partition(q, n, T, budget=budget)
+    if outcome.status == FOUND:
+        return "half-base-search", outcome.partition, {"type": type_of(outcome.partition).format()}
+    if outcome.status == BUDGET:
+        raise BudgetExceeded(f"search for T={set(T)}, n={n} ran out of budget")
     raise UncoveredCase(
         f"all candidate types for T={set(T)}, n={n} were exhausted by search",
-        solutions=passing,
+        solutions=_solutions(q, n, T)[1],
     )

@@ -138,15 +138,12 @@ def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> Li
     return out
 
 
-def _hyperplane_splittable(
-    q: int, dims: Tuple[int, ...], x: Tuple[int, ...], n: int, depth: int
-) -> bool:
+def _hyperplane_splittable(q: int, dims: Tuple[int, ...], x: Tuple[int, ...], n: int) -> bool:
     """Can the counts split across a hyperplane section?
 
     Looks for a_i + b_i = x_i with a_i components meeting the hyperplane in
     full dimension n_i and b_i in dimension n_i - 1, such that the induced
-    counts solve the equation at n - 1.  With depth > 1 the induced counts
-    must recursively pass the same test.
+    counts solve the equation at n - 1.
 
     As a bounded knapsack: over the base where every component drops a
     dimension, each component inside adds w_i = (q - 1) q^{n_i - 1}, and the
@@ -162,34 +159,22 @@ def _hyperplane_splittable(
         room[i] = room[i + 1] + x[i] * w[i]
     need = q ** (n - 1) - 1 - sum(xi * (q ** (d - 1) - 1) for d, xi in zip(dims, x))
 
-    def induced_splittable(split: Tuple[int, ...]) -> bool:
-        counts: Dict[int, int] = {}
-        for d, xi, ai in zip(dims, x, split):
-            counts[d] = counts.get(d, 0) + ai
-            if d - 1 >= 1:
-                counts[d - 1] = counts.get(d - 1, 0) + (xi - ai)
-        induced_dims = tuple(sorted(d for d, c in counts.items() if c > 0))
-        if not induced_dims:
-            return q ** (n - 1) == 1
-        induced_x = tuple(counts[d] for d in induced_dims)
-        return _hyperplane_splittable(q, induced_dims, induced_x, n - 1, depth - 1)
-
-    def rec(i: int, rem: int, split: Tuple[int, ...]) -> bool:
+    def rec(i: int, rem: int) -> bool:
         if i == k - 1:
             a, left = divmod(rem, w[i])
-            return left == 0 and 0 <= a <= x[i] and (depth <= 1 or induced_splittable(split + (a,)))
+            return left == 0 and 0 <= a <= x[i]
         step = w[i + 1] // w[i]
         lo = max(0, -((room[i + 1] - rem) // w[i]))
         start = lo + (rem // w[i] - lo) % step
         return any(
-            rec(i + 1, rem - a * w[i], split + (a,))
+            rec(i + 1, rem - a * w[i])
             for a in range(start, min(x[i], rem // w[i]) + 1, step)
         )
 
-    return need >= 0 and need % w[0] == 0 and rec(0, need, ())
+    return need >= 0 and need % w[0] == 0 and rec(0, need)
 
 
-def annotate(sol: TypeSolution, hyperplane_depth: int = 1) -> TypeSolution:
+def annotate(sol: TypeSolution) -> TypeSolution:
     """Attach the full stack of necessary-condition flags to a solution.
 
     Raises ValueError if q is not a prime power or the dims are not
@@ -214,7 +199,7 @@ def annotate(sol: TypeSolution, hyperplane_depth: int = 1) -> TypeSolution:
 
     flags: Dict[str, bool] = {
         "dim_pairs": pairs_ok,
-        "hyperplane_split": _hyperplane_splittable(q, dims, x, n, hyperplane_depth),
+        "hyperplane_split": _hyperplane_splittable(q, dims, x, n),
         "min_count_two": (not nontrivial) or x_min >= 2,
         "min_lines_three": (not nontrivial) or not (q == 2 and t == 1) or x_min >= 3,
         "min_count_q1": (not nontrivial) or x_min >= q + 1,

@@ -95,6 +95,8 @@ def test_search_budget_exit(capsys):
         (("search", "--q", "2", "--n", "3", "--type", "7x1"), "-5"),
         (("enumerate", "--q", "2", "--n", "3"), "-5"),
         (("conjecture-scan", "--q", "2", "--n", "3"), "-5"),
+        (("construct", "tpartition", "--q", "2", "--T", "2", "--n", "4", "--budget", "-5"), None),
+        (("construct", "tpartition", "--q", "2", "--T", "2", "--n", "4"), "-5"),
     ],
 )
 def test_search_commands_refuse_bad_n_and_budget(capsys, monkeypatch, argv, env_budget):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from vspart import construct
 from vspart.construct import (
     build_t_partition,
     fixed_plus_lines,
@@ -213,6 +214,19 @@ def test_typed_with_zero_multiplicity():
     assert type_of(p) == PartitionType.of((21, 2))
 
 
+@pytest.mark.parametrize(
+    "n, text, built",
+    [(4, "5x2,0x3", PartitionType.of((5, 2))), (3, "0x1,1x3", PartitionType.of((1, 3)))],
+)
+def test_typed_dispatches_on_present_dimensions(n, text, built):
+    # A zero multiplicity says a dimension is absent; it must not move the
+    # type out of the closed-form cases.
+    p = typed_construct(2, n, PartitionType.parse(text))
+    assert verify(p).valid
+    assert type_of(p) == built
+    assert p.provenance["type"] == text
+
+
 def test_typed_rejects_filtered_type():
     with pytest.raises(UnsupportedType):
         typed_construct(2, 5, PartitionType.of((1, 2), (4, 3)))
@@ -302,6 +316,29 @@ def test_build_over_gf3():
     assert is_T_partition(p, {1, 2})
     assert verify(p).valid
     assert type_of(p) == PartitionType.of((4, 1), (9, 2))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_build_half_base_searches_the_dimension_set(n):
+    # The lex-first passing type, 4x2,9x3,12x4, does not exist (Heden's
+    # tail theorem), so the half base must search for T, not type by type.
+    p = build_t_partition(2, {2, 3, 4}, n, budget=1_000_000)
+    assert verify(p).valid
+    assert is_T_partition(p, {2, 3, 4})
+
+
+def test_half_base_runs_one_find(monkeypatch):
+    calls = []
+    real = construct.find_partition
+
+    def counting(q, n, goal, **kwargs):
+        calls.append(goal)
+        return real(q, n, goal, **kwargs)
+
+    monkeypatch.setattr(construct, "find_partition", counting)
+    p = build_t_partition(2, {2, 3}, 6)
+    assert calls == [(2, 3)]
+    assert p.provenance == {"rule": "half-base-search", "T": [2, 3], "n": 6, "type": "7x2,6x3"}
 
 
 def test_build_half_base_refine_path():

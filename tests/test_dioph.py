@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from typing import Dict, Tuple
+from typing import Tuple
 
 import pytest
 
@@ -151,66 +151,44 @@ def test_hyperplane_split_examples():
     assert annotate(TypeSolution(2, 5, (2, 3), (8, 1))).flags["hyperplane_split"]
     # All-lines partitions always split: a of them inside the hyperplane.
     assert annotate(TypeSolution(2, 4, (1,), (15,))).flags["hyperplane_split"]
-    # Depth-2 recursion stays consistent on a realizable type.
-    deep = annotate(TypeSolution(2, 5, (2, 3), (8, 1)), hyperplane_depth=2)
-    assert deep.flags["hyperplane_split"]
 
 
-def reference_hyperplane_splittable(
-    q: int, dims: Tuple[int, ...], x: Tuple[int, ...], n: int, depth: int
-) -> bool:
+def reference_hyperplane_splittable(q: int, dims: Tuple[int, ...], x: Tuple[int, ...], n: int) -> bool:
     """Oracle: try every split a_i in 0..x_i and test the remainder."""
     target = q ** (n - 1) - 1
     k = len(dims)
     inside = [q**d - 1 for d in dims]
     dropped = [q ** (d - 1) - 1 for d in dims]
 
-    def rec(i: int, rem: int, split: Tuple[int, ...]) -> bool:
+    def rec(i: int, rem: int) -> bool:
         if rem < 0:
             return False
         if i == k:
-            if rem != 0:
-                return False
-            if depth <= 1:
-                return True
-            counts: Dict[int, int] = {}
-            for d, xi, ai in zip(dims, x, split):
-                counts[d] = counts.get(d, 0) + ai
-                if d - 1 >= 1:
-                    counts[d - 1] = counts.get(d - 1, 0) + (xi - ai)
-            induced_dims = tuple(sorted(d for d, c in counts.items() if c > 0))
-            if not induced_dims:
-                return target == 0
-            induced_x = tuple(counts[d] for d in induced_dims)
-            return reference_hyperplane_splittable(q, induced_dims, induced_x, n - 1, depth - 1)
-        for a in range(x[i] + 1):
-            b = x[i] - a
-            if rec(i + 1, rem - a * inside[i] - b * dropped[i], split + (a,)):
-                return True
-        return False
+            return rem == 0
+        return any(
+            rec(i + 1, rem - a * inside[i] - (x[i] - a) * dropped[i]) for a in range(x[i] + 1)
+        )
 
-    return rec(0, target, ())
+    return rec(0, target)
 
 
 def test_hyperplane_split_matches_reference():
     verdicts = set()
     for q, n, dims in [(2, 8, (1, 2, 3)), (3, 6, (1, 2, 3)), (4, 5, (1, 2)), (2, 7, (2, 3))]:
-        for i, sol in enumerate(solve(q, n, dims)):
-            for depth in (1, 2, 3) if i % 15 == 0 else (1,):
-                got = _hyperplane_splittable(q, dims, sol.x, n, depth)
-                assert got == reference_hyperplane_splittable(q, dims, sol.x, n, depth), (sol, depth)
-                verdicts.add((depth, got))
+        for sol in solve(q, n, dims):
+            got = _hyperplane_splittable(q, dims, sol.x, n)
+            assert got == reference_hyperplane_splittable(q, dims, sol.x, n), sol
+            verdicts.add(got)
     # Vectors that need not solve the counting equation at all.
     rng = random.Random(2009)
     for _ in range(2000):
         q, n = rng.randint(2, 4), rng.randint(1, 7)
         dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))))
         x = tuple(rng.randint(0, 9) for _ in dims)
-        depth = rng.randint(1, 3)
-        got = _hyperplane_splittable(q, dims, x, n, depth)
-        assert got == reference_hyperplane_splittable(q, dims, x, n, depth), (q, dims, x, n, depth)
-        verdicts.add((depth, got))
-    assert verdicts == {(d, v) for d in (1, 2, 3) for v in (False, True)}
+        got = _hyperplane_splittable(q, dims, x, n)
+        assert got == reference_hyperplane_splittable(q, dims, x, n), (q, dims, x, n)
+        verdicts.add(got)
+    assert verdicts == {False, True}
 
 
 def test_flag_soundness_against_search_oracle():
