@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .dioph import TypeSolution, annotate, ruled_out, solve
+from .dioph import SOLVE_BUDGET, _classes, annotate, ruled_out, solve
 from .errors import (
     BadDimensions,
     BudgetExceeded,
@@ -252,15 +252,6 @@ def _finish(T: Tuple[int, ...], n: int, built: _Built) -> Partition:
     return Partition(p.field, p.n, p.components, provenance=provenance)
 
 
-def _solutions(
-    q: int, n: int, T: Tuple[int, ...]
-) -> Tuple[List[TypeSolution], List[TypeSolution]]:
-    """Annotated solutions with every dimension present, in lex order, and
-    those of them passing every necessary condition."""
-    solutions = [annotate(s) for s in solve(q, n, T) if all(xi >= 1 for xi in s.x)]
-    return solutions, [s for s in solutions if s.passes_all()]
-
-
 def _lift_split(
     seed: Partition, m: int, base_fill: Partition, ext_fill: Optional[Partition] = None
 ) -> Partition:
@@ -296,9 +287,9 @@ def build_t_partition(
                            and a matching divisor: the (T - {m})-partition of
                            V_{n-m} lifted across m;
       typed-fallback       T = {a, n - a}: the near-spread.
-    Parameters matching no rule raise UncoveredCase carrying the annotated
-    count solutions, and parameters whose count equation is infeasible or
-    fails the necessary conditions are rejected the same way up front.
+    A gate first stops at the count vector with every dimension present,
+    in lex order, that ruled_out lets through.  If none does, or no rule
+    matches, UncoveredCase carries those count vectors, built only then.
     Every recursive build strictly decreases n.  The node budget is read
     as by find_partition, and a negative one raises ValueError up front.
     """
@@ -309,8 +300,9 @@ def build_t_partition(
         raise BadDimensions(f"dimension {T[-1]} exceeds the ambient dimension {n}")
     field_from_order(q)  # validates q before any heavier work
     budget = _node_budget(budget)
-    solutions, passing = _solutions(q, n, T)
-    if not passing:
+    vectors = (s for c in _classes(q, n, T, SOLVE_BUDGET) for s in c if all(s.x))
+    if all(ruled_out(q, n, s.as_type()) for s in vectors):
+        solutions = [annotate(s) for s in solve(q, n, T) if all(s.x)]
         if not solutions:
             detail = "the counting equation has no solution with every dimension present"
         else:
@@ -319,19 +311,17 @@ def build_t_partition(
             f"no {set(T)}-partition of V_{n}(GF({q})) is possible: {detail}",
             solutions=solutions,
         )
-    built = _rule_chain(q, T, n, passing, budget)
+    built = _rule_chain(q, T, n, budget)
     if built is None:
         raise UncoveredCase(
             f"parameters q={q}, T={set(T)}, n={n} match no construction rule "
             "(feasible counts exist; try the search directly)",
-            solutions=solutions,
+            solutions=[annotate(s) for s in solve(q, n, T) if all(s.x)],
         )
     return _finish(T, n, built)
 
 
-def _rule_chain(
-    q: int, T: Tuple[int, ...], n: int, passing: Sequence[TypeSolution], budget: int
-) -> Optional[_Built]:
+def _rule_chain(q: int, T: Tuple[int, ...], n: int, budget: int) -> Optional[_Built]:
     nk = T[-1]
     if len(T) == 1:
         return "spread", spread(q, n, T[0]), {}
@@ -389,10 +379,9 @@ def _rule_chain(
             inner = build_t_partition(q, T[:-1], n - nk, budget)
             return "top-split", _lift_split(inner, nk, inner), {"divisor": div}
 
-    # The two-dimension closed form; its count vector is unique, as the
-    # dimension above n/2 appears exactly once.
+    # The two-dimension closed form, T = {a, n - a}.
     if len(T) == 2 and T[0] + T[1] == n:
-        return "typed-fallback", typed_construct(q, n, passing[0].as_type()), {}
+        return "typed-fallback", near_spread(q, n, T[0]), {}
     return None
 
 
@@ -424,5 +413,5 @@ def _half_base(q: int, T: Tuple[int, ...], n: int, budget: int) -> _Built:
         raise BudgetExceeded(f"search for T={set(T)}, n={n} ran out of budget")
     raise UncoveredCase(
         f"all candidate types for T={set(T)}, n={n} were exhausted by search",
-        solutions=_solutions(q, n, T)[1],
+        solutions=[s for s in map(annotate, solve(q, n, T)) if all(s.x) and s.passes_all()],
     )

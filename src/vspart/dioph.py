@@ -8,18 +8,19 @@ every flag never asserts that a partition exists; failing any flag proves
 it does not.  `ruled_out` is that proof for one type, and the only
 nonexistence test that search and construct apply to a type.
 
-Neither enumeration tries a count and tests it afterwards: `solve` steps
-the last two counts through the one residue class that can balance the
-equation, and the hyperplane-split flag is a bounded knapsack whose
-weights divide one another, so each count steps through one residue class
-too.
+Neither enumeration tries a count and tests it afterwards: `solve` joins
+a stream of residue classes, each stepping the last two counts through
+the one class that can balance the equation, and the hyperplane-split
+flag is a bounded knapsack whose weights divide one another, so each
+count steps through one residue class too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotASolution
 from .gf import _prime_power
@@ -95,30 +96,33 @@ def _validate_dims(n: int, dims: Sequence[int]) -> Tuple[int, ...]:
     return dims
 
 
-def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> List[TypeSolution]:
-    """All non-negative solutions of sum (q^{n_i} - 1) x_i = q^n - 1.
+def _classes(q: int, n: int, dims: Sequence[int], budget: int) -> Iterator[List[TypeSolution]]:
+    """The solutions of solve, in its order, one residue class at a time.
 
-    Complete by bounded nested enumeration; results are in ascending
-    lexicographic order.  The last two unknowns are solved exactly: with
-    g = gcd(t, u), t x + u y = rem has solutions only when g divides rem,
-    and then x runs through one residue class modulo u / g and y follows.
+    A class fixes all counts but the last two, which are solved exactly:
+    with g = gcd(t, u), t x + u y = rem has solutions only when g divides
+    rem, and then x runs through one residue class modulo u / g and y
+    follows.  Every class is sized before the first is built.
     """
     _prime_power(q)  # rejects a bad q without building field tables
     dims = _validate_dims(n, dims)
     terms = [q**d - 1 for d in dims]
     target = q**n - 1
-    out: List[TypeSolution] = []
+    classes: List[Tuple[Tuple[int, ...], int, range]] = []
+    total = 0
 
     def reserve(count: int) -> None:
-        if len(out) + count > budget:
+        nonlocal total
+        total += count
+        if total > budget:
             raise BudgetExceeded(f"more than {budget} solutions")
 
     last = terms[-1]
     if len(terms) == 1:
         if target % last == 0:
             reserve(1)
-            out.append(TypeSolution(q, n, dims, (target // last,)))
-        return out
+            yield [TypeSolution(q, n, dims, (target // last,))]
+        return
     t = terms[-2]
     g = gcd(t, last)
     step = last // g
@@ -132,10 +136,17 @@ def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> Li
             xs = range((rem // g) * inverse % step, rem // t + 1, step)
             # Counted, not len(xs): the class can outgrow sys.maxsize.
             reserve((xs.stop - xs.start + step - 1) // step)
-            out.extend(TypeSolution(q, n, dims, prefix + (x, (rem - x * t) // last)) for x in xs)
+            if xs:
+                classes.append((prefix, rem, xs))
 
     rec(0, target, ())
-    return out
+    for prefix, rem, xs in classes:
+        yield [TypeSolution(q, n, dims, prefix + (x, (rem - x * t) // last)) for x in xs]
+
+
+def solve(q: int, n: int, dims: Sequence[int], budget: int = SOLVE_BUDGET) -> List[TypeSolution]:
+    """All non-negative solutions of sum (q^{n_i} - 1) x_i = q^n - 1, in lex order."""
+    return list(chain.from_iterable(_classes(q, n, dims, budget)))
 
 
 def _hyperplane_splittable(q: int, dims: Tuple[int, ...], x: Tuple[int, ...], n: int) -> bool:

@@ -188,7 +188,11 @@ def _require_positive_n(n: int) -> None:
 def _node_budget(budget: Optional[int]) -> int:
     """The given budget, else VSPART_BUDGET, else DEFAULT_NODE_BUDGET."""
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
+        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_NODE_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     if budget < 0:
         raise ValueError(f"node budget must be non-negative, got {budget}")
     return budget

@@ -97,6 +97,9 @@ def test_search_budget_exit(capsys):
         (("conjecture-scan", "--q", "2", "--n", "3"), "-5"),
         (("construct", "tpartition", "--q", "2", "--T", "2", "--n", "4", "--budget", "-5"), None),
         (("construct", "tpartition", "--q", "2", "--T", "2", "--n", "4"), "-5"),
+        (("search", "--q", "2", "--n", "3", "--type", "7x1"), "abc"),
+        (("enumerate", "--q", "2", "--n", "3"), "abc"),
+        (("construct", "tpartition", "--q", "2", "--T", "2", "--n", "4"), "abc"),
     ],
 )
 def test_search_commands_refuse_bad_n_and_budget(capsys, monkeypatch, argv, env_budget):
@@ -108,6 +111,8 @@ def test_search_commands_refuse_bad_n_and_budget(capsys, monkeypatch, argv, env_
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "must be" in lines[0]
+    if env_budget == "abc":
+        assert "VSPART_BUDGET" in lines[0]
 
 
 def test_solve_flags(capsys):

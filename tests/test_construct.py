@@ -1,5 +1,6 @@
 """Closed-form constructions and the dimension-set builder."""
 
+import hashlib
 import random
 
 import pytest
@@ -339,6 +340,24 @@ def test_half_base_runs_one_find(monkeypatch):
     p = build_t_partition(2, {2, 3}, 6)
     assert calls == [(2, 3)]
     assert p.provenance == {"rule": "half-base-search", "T": [2, 3], "n": 6, "type": "7x2,6x3"}
+
+
+def test_build_gate_stops_at_the_first_count_vector_not_ruled_out(monkeypatch):
+    # {1,2,3}@12 has 398,191 count vectors and gcd-split reads none of them,
+    # so the gate checks few and no UncoveredCase payload is annotated.
+    checks = []
+
+    def counting(real):
+        def wrapped(*args):
+            checks.append(args)
+            return real(*args)
+        return wrapped
+
+    for name in ("ruled_out", "annotate"):
+        monkeypatch.setattr(construct, name, counting(getattr(construct, name)))
+    p = build_t_partition(2, {1, 2, 3}, 12)
+    assert len(checks) < 1_000
+    assert hashlib.sha256(dumps(p).encode()).hexdigest().startswith("630109e9edbe796a")
 
 
 def test_build_half_base_refine_path():

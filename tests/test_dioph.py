@@ -8,7 +8,9 @@ import pytest
 
 import vspart.gf
 from vspart.dioph import (
+    SOLVE_BUDGET,
     TypeSolution,
+    _classes,
     _hyperplane_splittable,
     annotate,
     classify_gf2_23,
@@ -64,6 +66,10 @@ def test_solve_complete_against_box_scan(q, n, dims):
     if not dims:
         return
     assert [s.x for s in solve(q, n, dims)] == brute_force_solutions(q, n, dims)
+    classes = [[s.x for s in c] for c in _classes(q, n, dims, SOLVE_BUDGET)]
+    assert [x for c in classes for x in c] == brute_force_solutions(q, n, dims)
+    # A class is never empty and fixes every count but the last two.
+    assert all(c and len({x[:-2] for x in c}) == 1 for c in classes)
 
 
 def test_solve_budget():
@@ -76,6 +82,8 @@ def test_solve_budget_counts_a_class_past_maxsize():
     # more than len() of a range can report.
     with pytest.raises(BudgetExceeded, match="^more than 1000000 solutions$"):
         solve(2, 100, (1, 2))
+    with pytest.raises(BudgetExceeded, match="^more than 1000000 solutions$"):
+        next(_classes(2, 100, (1, 2), SOLVE_BUDGET))
 
 
 @pytest.mark.parametrize("q,n,dims", [(2, 10, (2, 3)), (2, 8, (2, 4)), (3, 5, (1, 2, 3)), (2, 6, (2,))])
@@ -84,6 +92,11 @@ def test_solve_budget_edge(q, n, dims):
     assert solve(q, n, dims, budget=len(solutions)) == solutions
     with pytest.raises(BudgetExceeded) as exc:
         solve(q, n, dims, budget=len(solutions) - 1)
+    assert str(exc.value) == f"more than {len(solutions) - 1} solutions"
+    # A lazy reader gets the same stop before it receives any class.
+    stream = _classes(q, n, dims, len(solutions) - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        next(stream)
     assert str(exc.value) == f"more than {len(solutions) - 1} solutions"
 
 
