@@ -25,9 +25,12 @@ The search itself is one flat loop, the generator `_covers`.  The current
 node's state is kept in local variables and pushed on a stack of tuples
 when the loop goes down a level; the goal enters only as per-dimension
 caps on how many components of each dimension may be placed and a
-feasibility test.  The loop yields each complete cover as a tuple of
-masks.  A find keeps the first that has every goal dimension; a census
-builds partitions only once the search has ended.
+feasibility test on the uncovered mask.  Both goals carry a test: a
+dimension set checks the residual point count, a type counts least
+vectors per window (`_type_plan`).  The census has no test.  The loop
+yields each complete cover as a tuple of masks.  A find keeps the first
+that has every goal dimension; a census builds partitions only once the
+search has ended.
 
 Budget semantics: the node budget counts both tree expansions and generated
 candidate subspaces, and running out is always reported as its own outcome,
@@ -73,9 +76,10 @@ class SearchOutcome:
     """Result of a partition search.
 
     status is "found" (partition attached), "exhausted" (no partition
-    exists: a complete search found none, or, for a type goal, one of the
-    necessary conditions of dioph.ruled_out fails, such as the counting
-    equation, a dimension pair or the paper's s >= q + t), or "budget".
+    exists: a complete search of the pruned tree found none, or, for a
+    type goal, one of the necessary conditions of dioph.ruled_out fails,
+    such as the counting equation, a dimension pair or the paper's
+    s >= q + t), or "budget".
     """
 
     status: str
@@ -211,10 +215,11 @@ def _covers(
     order, and charges index.counter one node per placement, raising
     _BudgetHit when the counter runs out.  A node opens the dimensions of
     dims in turn, skipping each d with used[d] >= caps[d], where used[d]
-    counts the placed components of dimension d.  feasible(points_left,
-    used) prunes after a placement.  The node lives in locals: its least
-    uncovered vector v, the position i of the next dimension to open, the
-    iterator `it` over the open candidate list and that list's dimension d.
+    counts the placed components of dimension d.  feasible(free, used),
+    with free the mask of uncovered vectors, prunes after a placement.
+    The node lives in locals: its least uncovered vector v, the position
+    i of the next dimension to open, the iterator `it` over the open
+    candidate list and that list's dimension d.
     Going down pushes (v, i, it, d); an exhausted node pops its parent's
     and undoes the placement that made it.
 
@@ -224,7 +229,10 @@ def _covers(
     list; the root scans frame 0's, whose lists are the table groups.  A
     missing list is filtered from the nearest ancestor's list, or from the
     table group, and cached at every frame between: frame j keeps what
-    frame j - 1 keeps minus the masks meeting the j-th placement.  Lists
+    frame j - 1 keeps minus the masks meeting the j-th placement.  Once
+    a list is empty, filtering stops and the empty list is cached at the
+    asking frame.  Only a group no frame holds is read from the index, so
+    a table is charged exactly as if every miss asked the index.  Lists
     are keyed by v << 6 | d (d <= n <= 20).  The index charges each table
     in full on first use but builds only the groups asked for here.
     """
@@ -237,27 +245,27 @@ def _covers(
     # first index.group(d, v) still charges the table.
     empty_from = {d: q ** (n - d + 1) for d in dims}
     limit = counter.limit
-    points = q**n - 1
     covered = 0
     used = dict.fromkeys(dims, 0)
     placed: List[int] = []
     lists: List[Dict[int, Sequence[int]]] = [{}]
 
     def filtered(k: int, d: int, v: int, key: int) -> Sequence[int]:
-        group = index.group(d, v)
-        if not group or not k:
-            # Frame 0 covers nothing, and an empty group stays empty.
-            lists[k][key] = group
-            return group
         j = k
         while j and key not in lists[j]:
             j -= 1
-        if j:
-            group = lists[j][key]
-        while j < k:
+        group = lists[j].get(key)
+        if group is None:
+            # No frame holds (d, v) yet; frame 0 covers nothing.  A cached
+            # list means the table is charged already.
+            group = lists[0][key] = index.group(d, v)
+        while j < k and group:
             c = placed[j]
             j += 1
             group = lists[j][key] = [m for m in group if not m & c]
+        if j < k:
+            # An empty list stays empty below.
+            lists[k][key] = group
         return group
 
     ndims = len(dims)
@@ -300,19 +308,21 @@ def _covers(
         placed.append(mask)
         if covered == full:
             yield tuple(placed)
-        elif feasible is None or feasible(points - covered.bit_count(), used):
-            lists.append({})
-            stack.append((v, i, it, d))
+        else:
             free = full & ~covered
-            v, i, it = (free & -free).bit_length() - 1, 0, empty
-            continue
+            if feasible is None or feasible(free, used):
+                lists.append({})
+                stack.append((v, i, it, d))
+                v, i, it = (free & -free).bit_length() - 1, 0, empty
+                continue
         covered ^= placed.pop()
         used[d] -= 1
 
 
 # How a goal enters the search: its dimensions in branching order, the cap
-# on the components of each, and a feasibility test or None.
-_Plan = Tuple[Tuple[int, ...], Dict[int, int], Optional[Callable[[int, Dict[int, int]], bool]]]
+# on the components of each, and a feasibility test on the uncovered mask
+# and the per-dimension counts placed.
+_Plan = Tuple[Tuple[int, ...], Dict[int, int], Callable[[int, Dict[int, int]], bool]]
 
 
 def _dims_plan(q: int, n: int, dims: Tuple[int, ...]) -> Optional[_Plan]:
@@ -329,10 +339,11 @@ def _dims_plan(q: int, n: int, dims: Tuple[int, ...]) -> Optional[_Plan]:
     desc = list(dims)
     feas_memo: Dict[Tuple[int, frozenset, Tuple[int, ...]], bool] = {}
 
-    def feasible(points_left: int, used: Dict[int, int]) -> bool:
+    def feasible(free: int, used: Dict[int, int]) -> bool:
         # Residual counting feasibility: the points still uncovered must be
         # expressible with the available dimensions, every missing dimension
         # used at least once and capped dimensions at most once.
+        points_left = free.bit_count()
         missing = frozenset(d for d in dims if used[d] == 0)
         caps_state = tuple(used[d] for d in sorted(capped))
         key = (points_left, missing, caps_state)
@@ -370,6 +381,30 @@ def _dims_plan(q: int, n: int, dims: Tuple[int, ...]) -> Optional[_Plan]:
         return ok
 
     return dims, caps, feasible
+
+
+def _type_plan(q: int, n: int, multiplicity: Dict[int, int]) -> _Plan:
+    """The plan for a type goal: dimensions descending, capped at their
+    multiplicities, with a window count as the feasibility test.
+
+    A d-subspace meets the span of the last n - d + 1 coordinates, so its
+    least nonzero vector has a code below q^(n-d+1), and disjoint
+    components have distinct least vectors.  So the components still to
+    be placed with dimension >= d need that many uncovered vectors below
+    q^(n-d+1).
+    """
+    dims = tuple(sorted(multiplicity, reverse=True))
+    windows = [(d, (1 << q ** (n - d + 1)) - 1) for d in dims]
+
+    def feasible(free: int, used: Dict[int, int]) -> bool:
+        want = 0
+        for d, window in windows:
+            want += multiplicity[d] - used[d]
+            if want > (free & window).bit_count():
+                return False
+        return True
+
+    return dims, multiplicity, feasible
 
 
 def _certified(p: Partition, goal) -> Partition:
@@ -427,7 +462,13 @@ def find_partition(
     in the order to try.  It cannot change an exhaustion verdict.  A type
     goal that dioph.ruled_out rules out (the counting equation, the
     dimension pairs, the paper's s >= q + t and the other flags of
-    dioph.annotate) is exhausted at 0 nodes.
+    dioph.annotate) is exhausted at 0 nodes.  Both goals prune with a
+    feasibility test: a dimension set by the residual point count, a type
+    by counting, per dimension d, the uncovered vectors below q^(n-d+1)
+    that the components of dimension >= d still need as least vectors.
+    So for a type, "exhausted" means a complete search of the tree that
+    this window count leaves; the count only removes subtrees that hold
+    no cover.
     """
     field = field_from_order(q)
     _require_positive_n(n)
@@ -436,14 +477,12 @@ def find_partition(
     index = _CandidateIndex(field, n, _Counter(_node_budget(budget)))
     if isinstance(goal, PartitionType):
         goal = goal.normalized()
-        multiplicity = {d: x for x, d in goal.pairs}
         # Branch on large components first: they are the scarce resource,
         # and placing them early prunes hopeless covers by orders of
         # magnitude.  With the caps at the multiplicities and the point
         # count exact, every cover has exactly the goal's type.
-        plan = None if ruled_out(q, n, goal) else (
-            tuple(sorted(multiplicity, reverse=True)), multiplicity, None
-        )
+        multiplicity = {d: x for x, d in goal.pairs}
+        plan = None if ruled_out(q, n, goal) else _type_plan(q, n, multiplicity)
     else:
         goal = tuple(sorted(set(int(d) for d in goal)))
         if not goal or goal[0] < 1 or goal[-1] > n:

@@ -57,6 +57,41 @@ def test_find_realizable_type():
     assert verify(out.partition).valid
 
 
+def test_window_count_prunes_the_v6_find():
+    """The window count cuts find(2,6,14x2,3x3) from 458,383 nodes to a few
+    thousand; the partition found is the same."""
+    import hashlib
+
+    from vspart.io import dumps
+
+    out = find_partition(2, 6, PartitionType.parse("14x2,3x3"), budget=5000)
+    assert out.status == FOUND and out.nodes < 5000
+    assert hashlib.sha256(dumps(out.partition).encode()).hexdigest().startswith("36f2ee55")
+
+
+def test_type_plan_counts_uncovered_vectors_per_window():
+    """A type goal's test holds when, for every dimension d, the components
+    of dimension >= d still to be placed fit the uncovered vectors with a
+    code below q^(n-d+1), and fails one vector short of that."""
+    from vspart.search import _type_plan
+
+    def free(q, n, covered):
+        return ((1 << q**n) - 2) & ~sum(1 << c for c in covered)
+
+    # V_4(2), 3x1,4x2, one line {1,2,3} placed: the three lines left need
+    # three uncovered codes among 1..7; code 8 lies outside the window.
+    dims, caps, feasible = _type_plan(2, 4, {1: 3, 2: 4})
+    assert dims == (2, 1) and caps == {1: 3, 2: 4}
+    assert feasible(free(2, 4, (1, 2, 3, 4)), {2: 1, 1: 1})
+    assert not feasible(free(2, 4, (1, 2, 3, 4, 5)), {2: 1, 1: 2})
+    assert feasible(free(2, 4, (1, 2, 3, 4, 8)), {2: 1, 1: 2})
+    # V_4(3), 10x2, seven lines placed: the three left need three uncovered
+    # codes among 1..26, however many lie above.
+    _, _, feasible = _type_plan(3, 4, {2: 10})
+    assert not feasible(free(3, 4, [c for c in range(1, 27) if c not in (25, 26)]), {2: 7})
+    assert feasible(free(3, 4, [c for c in range(1, 27) if c not in (24, 25, 26)]), {2: 7})
+
+
 def test_find_dimension_set_goal():
     out = find_partition(2, 3, (1, 2))
     assert out.status == FOUND
@@ -179,8 +214,8 @@ def test_search_builds_only_the_groups_it_reads(monkeypatch):
             indexes.append(self)
 
     monkeypatch.setattr(search_module, "_CandidateIndex", Recording)
-    out = find_partition(2, 6, PartitionType.parse("7x2,6x3"), budget=2073)
-    assert (out.status, out.nodes) == (FOUND, 2073)  # search_pins.json
+    out = find_partition(2, 6, PartitionType.parse("7x2,6x3"), budget=2063)
+    assert (out.status, out.nodes) == (FOUND, 2063)  # search_pins.json
     (index,) = indexes
     assert sorted(index.tables) == [2, 3]
     built = [masks for table in index.tables.values() for masks in table.values() if masks]
@@ -295,7 +330,7 @@ def all_goal_types(q, n):
     return sorted(out)
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (4, 3)])
 def test_oracle_agreement(q, n):
     """Search verdicts match the brute-force enumeration on every goal type."""
     realized = {type_of(p).pairs for p in enumerate_all(q, n)}
