@@ -6,6 +6,14 @@ subcommand takes --json for machine-readable output; partition files use
 the canonical format of the io module.  VSPART_BUDGET sets the default
 search budget.
 
+Each subcommand is one row of _COMMANDS: help, handler, options.  A
+handler `_cmd_*(args)` prints nothing: it writes any --out file, then
+returns (exit status, payload, lines), and `run` prints the payload as
+JSON under --json and the lines otherwise.  For the commands that read a
+partition file, `run` reads it into `args.partition` before the handler
+runs, so a bad file is reported before a bad option.  `run` alone maps
+exceptions to an exit status and one stderr line.
+
 Each command imports only the library modules it runs, inside its
 handler, and checks its own option combinations before those imports;
 this module loads just argparse, json and the error types, so a command
@@ -26,14 +34,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _parse_dims(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(","))
 
@@ -51,7 +51,7 @@ def _maybe_write(partition, out: str | None) -> None:
         write_partition(partition, out)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     from .dioph import annotate, solve
 
     sols = solve(args.q, args.n, _parse_dims(args.dims))
@@ -72,8 +72,7 @@ def _cmd_solve(args) -> int:
             lines.append(f"  x={s.x}")
         rows.append(entry)
     payload = {"q": args.q, "n": args.n, "dims": list(_parse_dims(args.dims)), "solutions": rows}
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def _partition_summary(p) -> dict:
@@ -102,7 +101,7 @@ _BUILDERS = {
 }
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     needs, build = _BUILDERS[args.builder]
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
@@ -112,15 +111,13 @@ def _cmd_construct(args) -> int:
     part = build(construct, args)
     _maybe_write(part, args.out)
     payload = _partition_summary(part)
-    _emit(payload, args.json, [f"built partition of type {payload['type']} (r={part.r})"])
-    return EXIT_OK
+    return EXIT_OK, payload, [f"built partition of type {payload['type']} (r={part.r})"]
 
 
-def _cmd_verify(args) -> int:
-    from .io import read_partition
+def _cmd_verify(args):
     from .partition import type_of, verify
 
-    p = read_partition(args.file, allow_noncanonical=args.force)
+    p = args.partition
     report = verify(p)
     payload = {
         "valid": report.valid,
@@ -129,18 +126,15 @@ def _cmd_verify(args) -> int:
         "type": type_of(p).format() if report.valid else None,
         "detail": report.describe(),
     }
-    _emit(payload, args.json, [report.describe()])
-    return EXIT_OK if report.valid else EXIT_NEGATIVE
+    return (EXIT_OK if report.valid else EXIT_NEGATIVE), payload, [report.describe()]
 
 
-def _cmd_bounds(args) -> int:
-    from .io import read_partition
+def _cmd_bounds(args):
     from .partition import bound_report, verify
 
-    p = read_partition(args.file, allow_noncanonical=args.force)
+    p = args.partition
     if not verify(p).valid:
-        _emit({"valid": False}, args.json, ["not a valid partition"])
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, {"valid": False}, ["not a valid partition"]
     rep = bound_report(p)
     payload = {
         "t": rep.t,
@@ -159,26 +153,23 @@ def _cmd_bounds(args) -> int:
         f"r residue 1 mod q^t: {rep.residue_ok}",
         f"s' = {rep.s_prime}, divisible by q and positive: {rep.s_prime_ok}",
     ]
-    _emit(payload, args.json, lines)
-    return EXIT_OK if rep.all_ok else EXIT_NEGATIVE
+    return (EXIT_OK if rep.all_ok else EXIT_NEGATIVE), payload, lines
 
 
-def _cmd_induce(args) -> int:
-    from .io import read_partition
+def _cmd_induce(args):
     from .linalg import canonicalize
     from .partition import induce
 
-    p = read_partition(args.file, allow_noncanonical=args.force)
+    p = args.partition
     rows = [[int(x) for x in row.split(",")] for row in args.w.split(";")]
     w = canonicalize(rows, p.field, p.n)
     out = induce(p, w)
     _maybe_write(out, args.out)
     payload = _partition_summary(out)
-    _emit(payload, args.json, [f"induced partition of type {payload['type']} on dimension {out.n}"])
-    return EXIT_OK
+    return EXIT_OK, payload, [f"induced partition of type {payload['type']} on dimension {out.n}"]
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     if (args.type is None) == (args.T is None):
         raise ValueError("search needs exactly one of --type or --T")
     from .partition import type_of
@@ -193,15 +184,11 @@ def _cmd_search(args) -> int:
     }
     if outcome.found:
         _maybe_write(outcome.partition, args.out)
-    _emit(payload, args.json, [f"{outcome.status} after {outcome.nodes} nodes"])
-    if outcome.status == FOUND:
-        return EXIT_OK
-    if outcome.status == EXHAUSTED:
-        return EXIT_NEGATIVE
-    return EXIT_USAGE
+    status = {FOUND: EXIT_OK, EXHAUSTED: EXIT_NEGATIVE}.get(outcome.status, EXIT_USAGE)
+    return status, payload, [f"{outcome.status} after {outcome.nodes} nodes"]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     from .partition import type_of
     from .search import enumerate_all
 
@@ -214,11 +201,10 @@ def _cmd_enumerate(args) -> int:
     lines = [f"{len(parts)} partitions of V_{args.n}(GF({args.q}))"] + [
         f"  {k}: {v}" for k, v in sorted(histogram.items())
     ]
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_classify_23(args) -> int:
+def _cmd_classify_23(args):
     from .dioph import classify_gf2_23
 
     rows = classify_gf2_23(args.n)
@@ -229,11 +215,10 @@ def _cmd_classify_23(args) -> int:
     lines = [f"counts (x1 planes of dim 2, x2 of dim 3) at n={args.n}:"] + [
         f"  x={s.x}: {'exists' if e else 'does not exist'}" for s, e in rows
     ]
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_conjecture_scan(args) -> int:
+def _cmd_conjecture_scan(args):
     from .search import conjecture_scan
 
     rep = conjecture_scan(args.q, args.n)
@@ -249,45 +234,39 @@ def _cmd_conjecture_scan(args) -> int:
         f"  t={t}: min s = {s} (bound {args.q**t + 1}), witness {rep.witnesses[t].format()}"
         for t, s in sorted(rep.min_s.items())
     ] + [f"counterexamples below q^t + 1: {len(rep.counterexamples)}"]
-    _emit(payload, args.json, lines)
-    return EXIT_OK if rep.clean else EXIT_NEGATIVE
+    return (EXIT_OK if rep.clean else EXIT_NEGATIVE), payload, lines
 
 
-def _cmd_code(args) -> int:
+def _cmd_code(args):
     from .codes import code_from_partition, code_parameters, verify_perfect
-    from .io import read_partition
 
-    p = read_partition(args.file, allow_noncanonical=args.force)
+    p = args.partition
     params = code_parameters(p)
     payload = {"parameters": params}
     lines = [
         f"mixed code of length {params['length']}, size {params['size']}, "
         f"alphabets {params['alphabet_sizes']}"
     ]
-    ok = True
-    if args.check:
-        report = verify_perfect(code_from_partition(p))
-        payload["check"] = {
-            "size": report.size,
-            "sphere_ok": report.sphere_ok,
-            "min_distance": report.min_distance,
-            "perfect": report.perfect,
-        }
-        lines.append(
-            f"sphere packing: {report.sphere_ok}, min distance: {report.min_distance}, "
-            f"perfect: {report.perfect}"
-        )
-        ok = report.perfect
-    _emit(payload, args.json, lines)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    if not args.check:
+        return EXIT_OK, payload, lines
+    report = verify_perfect(code_from_partition(p))
+    payload["check"] = {
+        "size": report.size,
+        "sphere_ok": report.sphere_ok,
+        "min_distance": report.min_distance,
+        "perfect": report.perfect,
+    }
+    lines.append(
+        f"sphere packing: {report.sphere_ok}, min distance: {report.min_distance}, "
+        f"perfect: {report.perfect}"
+    )
+    return (EXIT_OK if report.perfect else EXIT_NEGATIVE), payload, lines
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args):
     from .designs import design_from_partition, verify_design
-    from .io import read_partition
 
-    p = read_partition(args.file, allow_noncanonical=args.force)
-    design = design_from_partition(p)
+    design = design_from_partition(args.partition)
     payload = {
         "points": design.point_count,
         "classes": len(design.classes),
@@ -297,32 +276,73 @@ def _cmd_design(args) -> int:
         f"design on {design.point_count} points with {len(design.classes)} "
         f"resolution classes and {design.block_count} blocks"
     ]
-    ok = True
-    if args.check:
-        report = verify_design(design)
-        payload["check"] = {
-            "pair_ok": report.pair_ok,
-            "classes_ok": report.classes_ok,
-            "translation_ok": report.translation_ok,
-            "valid": report.valid,
-        }
-        lines.append(
-            f"pairs once: {report.pair_ok}, classes resolve: {report.classes_ok}, "
-            f"translation invariant: {report.translation_ok}"
-        )
-        ok = report.valid
-    _emit(payload, args.json, lines)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    if not args.check:
+        return EXIT_OK, payload, lines
+    report = verify_design(design)
+    payload["check"] = {
+        "pair_ok": report.pair_ok,
+        "classes_ok": report.classes_ok,
+        "translation_ok": report.translation_ok,
+        "valid": report.valid,
+    }
+    lines.append(
+        f"pairs once: {report.pair_ok}, classes resolve: {report.classes_ok}, "
+        f"translation invariant: {report.translation_ok}"
+    )
+    return (EXIT_OK if report.valid else EXIT_NEGATIVE), payload, lines
 
 
-def _add_common(sub, *, file_arg=False) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    if file_arg:
-        sub.add_argument("file", help="partition file")
-        sub.add_argument(
-            "--force", action="store_true",
-            help="accept non-canonical input and re-canonicalize",
-        )
+_Q = ("--q", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_BUDGET = ("--budget", {"type": int, "default": None})
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_FILE = (
+    ("file", {"help": "partition file"}),
+    ("--force", {"action": "store_true", "help": "accept non-canonical input and re-canonicalize"}),
+)
+
+# command -> (help, handler, reads a partition file, options besides --json,
+# file and --force); the file commands list their own options after those.
+_COMMANDS = {
+    "solve": ("enumerate count vectors and their feasibility flags", _cmd_solve, False, (
+        _Q, _N,
+        ("--dims", {"required": True, "help": "comma-separated dimensions, e.g. 2,3"}),
+        ("--filters", {"choices": ("all", "none"), "default": "all"}),
+    )),
+    "construct": ("build a partition with a closed-form rule", _cmd_construct, False, (
+        ("builder", {"choices": tuple(_BUILDERS)}),
+        _Q,
+        ("--n", {"type": int}),
+        ("--d", {"type": int}),
+        ("--k", {"type": int}),
+        ("--type", {"help": "partition type, e.g. 8x2,1x3"}),
+        ("--T", {"help": "comma-separated dimension set, e.g. 1,2,3"}),
+        _BUDGET,
+        ("--out", {"help": "write the partition file here"}),
+    )),
+    "verify": ("check a partition file", _cmd_verify, True, ()),
+    "bounds": ("minimum-dimension bounds report", _cmd_bounds, True, ()),
+    "induce": ("induce a partition on a subspace", _cmd_induce, True, (
+        ("--w", {"required": True, "help": "subspace rows, e.g. 1,0,0,0;0,1,0,0"}),
+        ("--out", {}),
+    )),
+    "search": ("exact-cover search for a type or dimension set", _cmd_search, False, (
+        _Q, _N,
+        ("--type", {"help": "partition type goal, e.g. 1x2,4x3"}),
+        ("--T", {"help": "dimension-set goal, e.g. 2,3"}),
+        _BUDGET,
+        ("--out", {"help": "write a found partition here"}),
+    )),
+    "enumerate": ("enumerate every partition of a tiny space", _cmd_enumerate, False, (_Q, _N)),
+    "classify-23": ("existence table for dims {2,3} over GF(2)", _cmd_classify_23, False, (_N,)),
+    "conjecture-scan": ("scan minimum-dimension counts", _cmd_conjecture_scan, False, (_Q, _N)),
+    "code": ("extract the mixed code of a partition", _cmd_code, True, (
+        ("--check", {"action": "store_true", "help": "materialize and verify perfection"}),
+    )),
+    "design": ("extract the coset design of a partition", _cmd_design, True, (
+        ("--check", {"action": "store_true", "help": "verify the design properties"}),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,87 +352,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vspart {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("solve", help="enumerate count vectors and their feasibility flags")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 2,3")
-    sp.add_argument("--filters", choices=("all", "none"), default="all")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = subs.add_parser("construct", help="build a partition with a closed-form rule")
-    sp.add_argument("builder", choices=tuple(_BUILDERS))
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--type", help="partition type, e.g. 8x2,1x3")
-    sp.add_argument("--T", help="comma-separated dimension set, e.g. 1,2,3")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--out", help="write the partition file here")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_construct)
-
-    sp = subs.add_parser("verify", help="check a partition file")
-    _add_common(sp, file_arg=True)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = subs.add_parser("bounds", help="minimum-dimension bounds report")
-    _add_common(sp, file_arg=True)
-    sp.set_defaults(func=_cmd_bounds)
-
-    sp = subs.add_parser("induce", help="induce a partition on a subspace")
-    _add_common(sp, file_arg=True)
-    sp.add_argument("--w", required=True, help="subspace rows, e.g. 1,0,0,0;0,1,0,0")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_induce)
-
-    sp = subs.add_parser("search", help="exact-cover search for a type or dimension set")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--type", help="partition type goal, e.g. 1x2,4x3")
-    sp.add_argument("--T", help="dimension-set goal, e.g. 2,3")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--out", help="write a found partition here")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_search)
-
-    sp = subs.add_parser("enumerate", help="enumerate every partition of a tiny space")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_enumerate)
-
-    sp = subs.add_parser("classify-23", help="existence table for dims {2,3} over GF(2)")
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_classify_23)
-
-    sp = subs.add_parser("conjecture-scan", help="scan minimum-dimension counts")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_conjecture_scan)
-
-    sp = subs.add_parser("code", help="extract the mixed code of a partition")
-    _add_common(sp, file_arg=True)
-    sp.add_argument("--check", action="store_true", help="materialize and verify perfection")
-    sp.set_defaults(func=_cmd_code)
-
-    sp = subs.add_parser("design", help="extract the coset design of a partition")
-    _add_common(sp, file_arg=True)
-    sp.add_argument("--check", action="store_true", help="verify the design properties")
-    sp.set_defaults(func=_cmd_design)
-
+    for name, (help_text, _, reads_file, options) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        ordered = (_JSON, *_FILE, *options) if reads_file else (*options, _JSON)
+        for flag, kwargs in ordered:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, reads_file, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        if reads_file:
+            from .io import read_partition
+
+            args.partition = read_partition(args.file, allow_noncanonical=args.force)
+        status, payload, lines = handler(args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return status
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,7 +34,8 @@ from .linalg import (
 
 # Up to this ambient size q^n, verification marks every component's vector
 # codes in one q^n-byte array (pairwise masks only to name a failing pair);
-# above it, pairwise meets plus the counting identity prove the cover.
+# above it, so does a correctly counted input of two or more components,
+# and pairwise meets plus the counting identity decide the rest.
 FULL_SCAN_LIMIT = 1 << 20
 
 
@@ -152,19 +153,20 @@ def trivial_partition(field: FieldSpec, n: int) -> Partition:
 def verify(p: Partition) -> VerificationReport:
     """Check the partition property: pairwise trivial meets and full cover.
 
-    For ambient sizes up to FULL_SCAN_LIMIT this is one pass: the vector
+    Up to ambient size FULL_SCAN_LIMIT, and above it for two or more
+    components whose sizes add up to q^n - 1, this is one pass: the vector
     codes of every component are marked in a byte per vector of V_n(q),
     stopping at the first code marked twice; the lowest unmarked nonzero
     code is the uncovered vector.  Only when a code repeats does the
     pairwise mask scan run, to name the first overlapping pair in nested
-    order and their lowest shared vector.  Beyond FULL_SCAN_LIMIT it proves
-    the cover from pairwise meets plus the counting identity, which is
-    equivalent.
+    order and their lowest shared vector.  Any other input above
+    FULL_SCAN_LIMIT (one component, or a miscounted set such as one line
+    in V_40(2)) is decided by pairwise meets plus the counting identity.
     """
     field, n = p.field, p.n
     q = field.q
     counting_ok = sum(q**c.dim - 1 for c in p.components) == q**n - 1
-    if q**n <= FULL_SCAN_LIMIT:
+    if q**n <= FULL_SCAN_LIMIT or (counting_ok and p.r > 1):
         seen = bytearray(q**n)
         for c in p.components:
             for code in subspace_vector_codes(c):

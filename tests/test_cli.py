@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -374,3 +376,45 @@ def test_huge_field_in_partition_file_fails_fast(tmp_path, p, e):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: {p}^{e} exceeds the guard 2^20"]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # Each line runs in order (later lines read the files earlier ones
+    # write) and exits as its comment states, or 0 when it states none.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1].splitlines()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VSPART_BUDGET", raising=False)
+    assert len(lines) == 16
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "vspart", line
+        stated = re.search(r"# exit (\d+)", line)
+        code = run(argv[1:])
+        capsys.readouterr()
+        assert code == (int(stated.group(1)) if stated else 0), line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "spread", "--q", "2", "--n", "4", "--d", "2"],
+        ["induce", "s.part", "--w", "1,0,0,0;0,1,0,0"],
+        ["search", "--q", "2", "--n", "6", "--T", "2,3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_failed_out_write_prints_nothing(tmp_path, capsys, monkeypatch, argv, as_json):
+    # The file is written before anything is printed, so a write that fails
+    # leaves one error line and an empty stdout.
+    monkeypatch.chdir(tmp_path)
+    run(["construct", "spread", "--q", "2", "--n", "4", "--d", "2", "--out", "s.part"])
+    capsys.readouterr()
+    target = str(tmp_path / "missing" / "out.part")
+    code, out, err = run_cli(capsys, *argv, "--out", target, *(["--json"] if as_json else []))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and target in lines[0], err
+    assert not (tmp_path / "missing").exists()
