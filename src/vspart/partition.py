@@ -33,9 +33,10 @@ from .linalg import (
 )
 
 # Up to this ambient size q^n, verification marks every component's vector
-# codes in one q^n-byte array (pairwise masks only to name a failing pair);
-# above it, so does a correctly counted input of two or more components,
-# and pairwise meets plus the counting identity decide the rest.
+# codes in one q^n-byte array (pairwise masks only to name a failing pair).
+# Above it, a correctly counted input is scanned the same way when its
+# pairwise meets would cost more than the q^n marks; pairwise meets plus the
+# counting identity decide the rest.
 FULL_SCAN_LIMIT = 1 << 20
 
 
@@ -153,32 +154,36 @@ def trivial_partition(field: FieldSpec, n: int) -> Partition:
 def verify(p: Partition) -> VerificationReport:
     """Check the partition property: pairwise trivial meets and full cover.
 
-    Up to ambient size FULL_SCAN_LIMIT, and above it for two or more
-    components whose sizes add up to q^n - 1, this is one pass: the vector
-    codes of every component are marked in a byte per vector of V_n(q),
-    stopping at the first code marked twice; the lowest unmarked nonzero
-    code is the uncovered vector.  Only when a code repeats does the
-    pairwise mask scan run, to name the first overlapping pair in nested
-    order and their lowest shared vector.  Any other input above
-    FULL_SCAN_LIMIT (one component, or a miscounted set such as one line
-    in V_40(2)) is decided by pairwise meets plus the counting identity.
+    Up to ambient size FULL_SCAN_LIMIT this is one pass: the vector codes
+    of every component are marked in a byte per vector of V_n(q), stopping
+    at the first code marked twice; the lowest unmarked nonzero code is the
+    uncovered vector.  Only when a code repeats does the pairwise mask scan
+    run, to name the first overlapping pair in nested order and their
+    lowest shared vector.
+
+    Above FULL_SCAN_LIMIT the same pass runs for an input whose sizes add
+    up to q^n - 1 and whose r(r-1)/2 pairwise meets, at n or more steps
+    each, outnumber the q^n marks.  Every valid partition with r > 1 is
+    such an input, since r >= q^(n/2) + 1.  Any other input above the
+    limit, and a scanned one in which a code repeats, is decided by
+    pairwise meets plus the counting identity; an overlap is named by its
+    first pair in nested order and the first basis vector of their meet.
     """
     field, n = p.field, p.n
     q = field.q
     counting_ok = sum(q**c.dim - 1 for c in p.components) == q**n - 1
-    if q**n <= FULL_SCAN_LIMIT or (counting_ok and p.r > 1):
-        seen = bytearray(q**n)
-        for c in p.components:
-            for code in subspace_vector_codes(c):
-                if seen[code]:
-                    return _first_overlap(p, counting_ok)
-                seen[code] = 1
-        code = seen.find(0, 1)
-        if code >= 0:
-            return VerificationReport(
-                False, p.r, counting_ok, True, False, uncovered=decode_vector(code, q, n)
-            )
-        return VerificationReport(counting_ok, p.r, counting_ok, True, True)
+    small = q**n <= FULL_SCAN_LIMIT
+    if small or (counting_ok and p.r * (p.r - 1) // 2 * n > q**n):
+        seen = _marked_codes(p)
+        if seen is not None:
+            code = seen.find(0, 1)
+            if code >= 0:
+                return VerificationReport(
+                    False, p.r, counting_ok, True, False, uncovered=decode_vector(code, q, n)
+                )
+            return VerificationReport(counting_ok, p.r, counting_ok, True, True)
+        if small:
+            return _first_overlap(p, counting_ok)
     for i in range(p.r):
         for j in range(i + 1, p.r):
             m = meet(p.components[i], p.components[j])
@@ -188,6 +193,18 @@ def verify(p: Partition) -> VerificationReport:
                     offending_pair=(i, j), witness=m.basis[0],
                 )
     return VerificationReport(counting_ok, p.r, counting_ok, True, counting_ok)
+
+
+def _marked_codes(p: Partition) -> Optional[bytearray]:
+    """A byte per vector code of V_n(q), set for every code of every
+    component; None as soon as a code is marked twice."""
+    seen = bytearray(p.field.q**p.n)
+    for c in p.components:
+        for code in subspace_vector_codes(c):
+            if seen[code]:
+                return None
+            seen[code] = 1
+    return seen
 
 
 def _first_overlap(p: Partition, counting_ok: bool) -> VerificationReport:

@@ -104,22 +104,54 @@ def test_uncovered_vector_reported():
     assert not rep.counting_ok
 
 
-def test_verify_large_ambient_path():
-    # Shrink the scan threshold: the spread is still scanned, and the
-    # miscounted input takes the pairwise-meet route.
+def test_verify_large_ambient_path(monkeypatch):
+    # Shrink the scan threshold.  A valid partition of two or more
+    # components is still scanned and needs no pairwise meet.  A single
+    # component, a miscounted input and a counted input of few components
+    # take the pairwise-meet route and mark no vector; a scanned input in
+    # which a code repeats falls back to the meets.  Every overlap is named
+    # by the first basis vector of the meet, not by the lowest shared code.
     import vspart.partition as pmod
 
     s = spread(2, 4, 2)
-    old = pmod.FULL_SCAN_LIMIT
-    pmod.FULL_SCAN_LIMIT = 1
-    try:
-        assert verify(s).valid
-        comps = list(s.components)
-        victim_line = canonicalize([comps[0].basis[0]], GF2, 4)
-        broken = Partition(GF2, 4, tuple(comps[1:]) + (victim_line,))
-        assert not verify(broken).valid
-    finally:
-        pmod.FULL_SCAN_LIMIT = old
+    calls = []
+    for name in ("meet", "subspace_vector_codes", "nonzero_mask"):
+        def spy(*args, _name=name, _real=getattr(pmod, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(pmod, name, spy)
+    monkeypatch.setattr(pmod, "FULL_SCAN_LIMIT", 1)
+    assert verify(s).valid
+    assert calls == ["subspace_vector_codes"] * 5
+
+    calls.clear()
+    assert verify(trivial_partition(GF2, 4)) == VerificationReport(True, 1, True, True, True)
+    comps = list(s.components)
+    victim_line = canonicalize([comps[0].basis[0]], GF2, 4)
+    broken = Partition(GF2, 4, tuple(comps[1:]) + (victim_line,))
+    assert verify(broken) == VerificationReport(False, 5, False, True, False)
+    assert calls == ["meet"] * 10
+
+    # Two hyperplanes and a line: counted, but 3 meets are cheaper than
+    # marking 16 codes.
+    calls.clear()
+    h = canonicalize([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], GF2, 4)
+    h2 = canonicalize([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], GF2, 4)
+    line = canonicalize([(1, 0, 0, 1)], GF2, 4)
+    rep = verify(Partition(GF2, 4, (h, h2, line)))
+    assert rep.describe() == "components 0 and 1 share the nonzero vector (0, 1, 0, 0)"
+    assert calls == ["meet"]
+
+    # A hyperplane, a plane inside it and five lines: counted and scanned,
+    # then named by the meets.
+    calls.clear()
+    plane = canonicalize([(0, 1, 0, 0), (0, 0, 1, 0)], GF2, 4)
+    lines = [canonicalize([(a, b, c, 1)], GF2, 4)
+             for a, b, c in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0))]
+    rep = verify(Partition(GF2, 4, (h, plane, *lines)))
+    assert rep.describe() == "components 2 and 5 share the nonzero vector (0, 1, 0, 0)"
+    assert "nonzero_mask" not in calls and "meet" in calls
 
 
 def test_verify_large_ambient_path_uncounted_cover():
@@ -178,48 +210,6 @@ def _random_subspace(rng, field, n):
         sub = canonicalize(rows, field, n)
         if sub.dim:
             return sub
-
-
-def test_verify_large_ambient_routes_by_the_partition(monkeypatch):
-    # Above the scan threshold a correctly counted partition of two or more
-    # components is scanned and needs no pairwise meet; a single component
-    # and a miscounted input still take the pairwise-meet route and mark no
-    # vector.
-    import vspart.partition as pmod
-
-    s = spread(2, 4, 2)
-    calls = []
-    for name in ("meet", "subspace_vector_codes"):
-        def spy(*args, _name=name, _real=getattr(pmod, name)):
-            calls.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(pmod, name, spy)
-    monkeypatch.setattr(pmod, "FULL_SCAN_LIMIT", 1)
-    assert verify(s).valid
-    assert calls == ["subspace_vector_codes"] * 5
-
-    calls.clear()
-    assert verify(trivial_partition(GF2, 4)) == VerificationReport(True, 1, True, True, True)
-    comps = list(s.components)
-    line = canonicalize([comps[0].basis[0]], GF2, 4)
-    rep = verify(Partition(GF2, 4, tuple(comps[1:]) + (line,)))
-    assert rep == VerificationReport(False, 5, False, True, False)
-    assert calls == ["meet"] * 10
-
-    # A correctly counted input with overlapping components names the pair
-    # and their lowest shared vector, as below the threshold.
-    calls.clear()
-    h = canonicalize([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], GF2, 4)
-    plane = canonicalize([(0, 1, 0, 0), (0, 0, 1, 0)], GF2, 4)
-    lines = [canonicalize([(a, b, c, 1)], GF2, 4)
-             for a, b, c in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0))]
-    overlapping = Partition(GF2, 4, (h, plane, *lines))
-    rep = verify(overlapping)
-    assert "meet" not in calls
-    assert rep.describe() == "components 2 and 5 share the nonzero vector (0, 0, 1, 0)"
-    monkeypatch.setattr(pmod, "FULL_SCAN_LIMIT", 1 << 20)
-    assert verify(overlapping) == rep
 
 
 def test_verify_matches_pairwise_mask_oracle():
