@@ -34,14 +34,20 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _parse_dims(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(","))
+def _parse_ints(text: str, flag: str, form: str = "comma-separated integers such as 2,3") -> tuple:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: expected {form}, got {text!r}") from None
 
 
 def _parse_type(text: str):
     from .partition import PartitionType
 
-    return PartitionType.parse(text)
+    try:
+        return PartitionType.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--type: {exc}") from None
 
 
 def _maybe_write(partition, out: str | None) -> None:
@@ -54,7 +60,8 @@ def _maybe_write(partition, out: str | None) -> None:
 def _cmd_solve(args):
     from .dioph import annotate, solve
 
-    sols = solve(args.q, args.n, _parse_dims(args.dims))
+    dims = _parse_ints(args.dims, "--dims")
+    sols = solve(args.q, args.n, dims)
     use_filters = args.filters == "all"
     rows = []
     lines = [f"solutions of the counting equation at q={args.q}, n={args.n}, dims={args.dims}:"]
@@ -71,7 +78,7 @@ def _cmd_solve(args):
         else:
             lines.append(f"  x={s.x}")
         rows.append(entry)
-    payload = {"q": args.q, "n": args.n, "dims": list(_parse_dims(args.dims)), "solutions": rows}
+    payload = {"q": args.q, "n": args.n, "dims": list(dims), "solutions": rows}
     return EXIT_OK, payload, lines
 
 
@@ -96,7 +103,7 @@ _BUILDERS = {
     "typed": (("n", "type"), lambda c, a: c.typed_construct(a.q, a.n, _parse_type(a.type))),
     "tpartition": (
         ("T", "n"),
-        lambda c, a: c.build_t_partition(a.q, _parse_dims(a.T), a.n, budget=a.budget),
+        lambda c, a: c.build_t_partition(a.q, _parse_ints(a.T, "--T"), a.n, budget=a.budget),
     ),
 }
 
@@ -161,7 +168,7 @@ def _cmd_induce(args):
     from .partition import induce
 
     p = args.partition
-    rows = [[int(x) for x in row.split(",")] for row in args.w.split(";")]
+    rows = [_parse_ints(row, "--w", "integer rows such as 1,0;0,1") for row in args.w.split(";")]
     w = canonicalize(rows, p.field, p.n)
     out = induce(p, w)
     _maybe_write(out, args.out)
@@ -175,7 +182,7 @@ def _cmd_search(args):
     from .partition import type_of
     from .search import EXHAUSTED, FOUND, find_partition
 
-    goal = _parse_type(args.type) if args.type is not None else _parse_dims(args.T)
+    goal = _parse_type(args.type) if args.type is not None else _parse_ints(args.T, "--T")
     outcome = find_partition(args.q, args.n, goal, budget=args.budget)
     payload = {
         "status": outcome.status,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .dioph import SOLVE_BUDGET, _classes, annotate, ruled_out, solve
 from .errors import (
@@ -28,6 +28,7 @@ from .linalg import (
     contains,
     coordinate_subspace,
     enumerate_subspaces,
+    full_space,
 )
 from .partition import (
     Partition,
@@ -54,33 +55,34 @@ def spread(q: int, n: int, d: int) -> Partition:
 
     Requires d | n.  V_n(q) is read as an (n/d)-dimensional space over
     GF(q^d); each line over the big field flattens to one d-dimensional
-    component over GF(q).
+    component over GF(q).  By the lift identity (see lift) the spread of
+    V_{k+d} is lift's components of the spread of V_k across d, that spread
+    zero-padded onto the base block, and the added block; so it is built
+    from V_d one block at a time and verified once.
     """
     field = field_from_order(q)
     if d < 1 or n < 1 or n % d != 0:
         raise NotDivisible(f"{d} does not divide {n}")
     ext = ExtField(field, d)
-    m = n // d
-    comps: List[Subspace] = []
-    # Projective representatives over GF(q^d): leading coordinate one.
-    for lead in range(m):
-        tail = m - lead - 1
-        stack = [()]
-        for _ in range(tail):
-            stack = [prefix + (elem,) for prefix in stack for elem in _all_ext_elements(ext)]
-        for suffix in stack:
-            point = (ext.zero(),) * lead + (ext.one(),) + suffix
-            rows = []
-            for j in range(d):
-                scaled = ext.scale(ext.power_basis(j), point)
-                rows.append(tuple(x for coord in scaled for x in coord))
-            comps.append(canonicalize(rows, field, n))
-    out = Partition(field, n, tuple(comps), provenance={"rule": "spread", "q": q, "n": n, "d": d})
+    pad = (0,) * d
+    comps: Tuple[Subspace, ...] = (full_space(field, d),)
+    for k in range(d, n, d):
+        padded = (Subspace(field, k + d, tuple(r + pad for r in c.basis), c.pivots) for c in comps)
+        comps = _lifted(comps, ext) + (*padded, coordinate_subspace(field, k + d, range(k, k + d)))
+    out = Partition(field, n, comps, provenance={"rule": "spread", "q": q, "n": n, "d": d})
     return _checked(out)
 
 
-def _all_ext_elements(ext: ExtField) -> List[Tuple[int, ...]]:
-    return [ext.element(c) for c in range(ext.order)]
+def _lifted(components: Iterable[Subspace], ext: ExtField) -> Tuple[Subspace, ...]:
+    """Per component U, then per nonzero alpha of ext, the span of the rows
+    (b_i, alpha * x^i) over U's canonical basis b_0, b_1, ..."""
+    out = []
+    for u in components:
+        powers = [ext.power_basis(j) for j in range(u.dim)]
+        for alpha in ext.nonzero_elements():
+            rows = [tuple(brow) + ext.mul(alpha, pw) for brow, pw in zip(u.basis, powers)]
+            out.append(canonicalize(rows, ext.base, u.n + ext.degree))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,10 @@ def lift(p: Partition, m_prime: int) -> LiftResult:
     GF(q^m'), where phi sends U's canonical basis to the first dim-U power
     basis elements; together with V x 0 and 0 x V' these partition the sum.
     The new component count is (q^m' - 1) times the old one.  Requires the
-    largest component dimension to be at most m'.
+    largest component dimension to be at most m'.  The lift identity: the
+    canonical basis of a line {a * P'} of a d-spread of V_k is x^i * P', so
+    across d it lifts to the lines through (P', alpha), and with V x 0
+    refined by that spread these give the d-spread of V_{k+d}.
     """
     field = p.field
     max_dim = max(c.dim for c in p.components)
@@ -114,26 +119,18 @@ def lift(p: Partition, m_prime: int) -> LiftResult:
         raise DimensionTooSmall(
             f"extension of dimension {m_prime} cannot host components of dimension {max_dim}"
         )
-    ext = ExtField(field, m_prime)
     n_out = p.n + m_prime
     base_component = coordinate_subspace(field, n_out, range(p.n))
     ext_component = coordinate_subspace(field, n_out, range(p.n, n_out))
-    lifted: List[Subspace] = []
-    for u in p.components:
-        powers = [ext.power_basis(j) for j in range(u.dim)]
-        for alpha in ext.nonzero_elements():
-            rows = []
-            for brow, pw in zip(u.basis, powers):
-                rows.append(tuple(brow) + ext.mul(alpha, pw))
-            lifted.append(canonicalize(rows, field, n_out))
-    comps = (base_component, ext_component) + tuple(lifted)
+    lifted = _lifted(p.components, ExtField(field, m_prime))
+    comps = (base_component, ext_component) + lifted
     out = Partition(
         field,
         n_out,
         comps,
         provenance={"rule": "lift", "m_prime": m_prime, "base": p.provenance},
     )
-    return LiftResult(_checked(out), tuple(lifted), base_component, ext_component)
+    return LiftResult(_checked(out), lifted, base_component, ext_component)
 
 
 def near_spread(q: int, n: int, d: int) -> Partition:

@@ -243,9 +243,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
-    def nonzero(self) -> range:
-        return range(1, self.q)
-
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -363,12 +360,6 @@ class ExtField:
         self.degree = degree
         self.order = base.q**degree
         self.modulus = lex_least_irreducible(base, degree)
-
-    def zero(self) -> Poly:
-        return (0,) * self.degree
-
-    def one(self) -> Poly:
-        return (1,) + (0,) * (self.degree - 1)
 
     def power_basis(self, j: int) -> Poly:
         """The element x^j, valid for 0 <= j < degree."""

@@ -69,7 +69,10 @@ class PartitionType:
         pairs = []
         for token in text.split(","):
             x, _, d = token.strip().partition("x")
-            pairs.append((int(x), int(d)))
+            try:
+                pairs.append((int(x), int(d)))
+            except ValueError:
+                raise ValueError(f"expected pairs such as 1x2,4x3, got {text!r}") from None
         pairs.sort(key=lambda p: p[1])
         return cls(tuple(pairs))
 

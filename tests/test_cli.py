@@ -300,6 +300,31 @@ def test_construct_missing_option_is_usage_error(capsys, builder, argv, missing)
     assert err.splitlines() == [f"error: construct {builder} needs {missing}"]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve", "--q", "2", "--n", "4", "--dims", "a"],
+         "--dims: expected comma-separated integers such as 2,3, got 'a'"),
+        (["search", "--q", "2", "--n", "4", "--type", "2y3"],
+         "--type: expected pairs such as 1x2,4x3, got '2y3'"),
+        (["search", "--q", "2", "--n", "4", "--T", "2,,3"],
+         "--T: expected comma-separated integers such as 2,3, got '2,,3'"),
+        (["construct", "tpartition", "--q", "2", "--n", "4", "--T", "x"],
+         "--T: expected comma-separated integers such as 2,3, got 'x'"),
+        (["construct", "typed", "--q", "2", "--n", "4", "--type", "5"],
+         "--type: expected pairs such as 1x2,4x3, got '5'"),
+        (["induce", "FILE", "--w", "x"], "--w: expected integer rows such as 1,0;0,1, got 'x'"),
+    ],
+)
+def test_malformed_option_value_names_the_option(tmp_path, capsys, argv, message):
+    path = tmp_path / "s.part"
+    run_cli(capsys, "construct", "spread", "--q", "2", "--n", "4", "--d", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_solve_rejects_bad_q(capsys):
     for q in ("1", "6", str(2**61 - 1)):
         code, _, err = run_cli(capsys, "solve", "--q", q, "--n", "3", "--dims", "1")

@@ -1,11 +1,14 @@
 """Closed-form constructions and the dimension-set builder."""
 
 import hashlib
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from vspart import construct
+from vspart import construct, partition
 from vspart.construct import (
     build_t_partition,
     fixed_plus_lines,
@@ -22,9 +25,9 @@ from vspart.errors import (
     UncoveredCase,
     UnsupportedType,
 )
-from vspart.gf import make_field
+from vspart.gf import ExtField, field_from_order, make_field
 from vspart.io import dumps
-from vspart.partition import PartitionType, is_T_partition, type_of, verify
+from vspart.partition import PartitionType, is_T_partition, trivial_partition, type_of, verify
 
 GF2 = make_field(2, 1)
 
@@ -55,13 +58,61 @@ def test_spread_not_divisible():
         spread(2, 5, 2)
 
 
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 3), (3, 2), (4, 2)])
+def test_spread_is_the_lift_of_the_trivial_partition(q, d):
+    lifted = lift(trivial_partition(field_from_order(q), d), d)
+    assert spread(q, 2 * d, d).components == lifted.partition.components
+
+
+def _counting(calls, name, real):
+    def wrapped(*args):
+        calls[name] += 1
+        return real(*args)
+    return wrapped
+
+
+def test_spread_lifts_block_by_block_and_verifies_once(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(ExtField, "mul", _counting(calls, "mul", ExtField.mul))
+    for module in (construct, partition):
+        monkeypatch.setattr(module, "verify", _counting(calls, "verify", module.verify))
+    spread(2, 12, 2)
+    # Two rows per nonzero alpha of GF(4) per component of the 2-spreads of
+    # V_2, V_4, ..., V_10: 2 * 3 * (1 + 5 + 21 + 85 + 341) products.
+    assert calls["mul"] <= 2_718
+    assert calls["verify"] == 1
+    calls.clear()
+    build_t_partition(2, {2, 3}, 12)
+    assert calls["verify"] == 7
+
+
+# The construct jobs of the benchmark, by the names its pins use.
+CONSTRUCT_JOBS = {
+    "spread(2,12,2)": lambda: spread(2, 12, 2),
+    "spread(3,8,2)": lambda: spread(3, 8, 2),
+    "spread(2,12,3)": lambda: spread(2, 12, 3),
+    "spread(4,6,2)": lambda: spread(4, 6, 2),
+    "hyperplane_section(2,6,2)": lambda: hyperplane_section(2, 6, 2),
+    "lift(near_spread(3,5,2),4)": lambda: lift(near_spread(3, 5, 2), 4).partition,
+    "build_t_partition(2,{2,3},12)": lambda: build_t_partition(2, {2, 3}, 12),
+}
+
+
+def test_construct_outputs_match_the_benchmark_pins():
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    pins = json.loads(expected.read_text(encoding="utf-8"))["construct"]
+    pins.update(pins.pop("spreads"))
+    assert set(pins) == set(CONSTRUCT_JOBS)
+    for name, build in CONSTRUCT_JOBS.items():
+        digest = hashlib.sha256(dumps(build()).encode("utf-8")).hexdigest()
+        assert digest == pins[name]["sha256"], name
+
+
 # ---------------------------------------------------------------------------
 # lift
 # ---------------------------------------------------------------------------
 
 def test_lift_single_component_counts():
-    from vspart.partition import trivial_partition
-
     res = lift(trivial_partition(GF2, 2), 3)
     assert len(res.lifted) == (2**3 - 1) * 1
     assert type_of(res.partition) == PartitionType.of((8, 2), (1, 3))
@@ -138,15 +189,11 @@ def test_near_spread_bad_dimensions():
 
 
 def test_near_spread_is_lift_of_trivial():
-    from vspart.partition import trivial_partition
-
     ns = near_spread(2, 5, 2)
     lifted = lift(trivial_partition(GF2, 2), 3).partition
     assert ns.components == lifted.components
     assert dumps(ns).replace('"rule": "near-spread"', '"rule": "lift"') != ""
     # Same canonical component serialization.
-    import json
-
     a = json.loads(dumps(ns))
     b = json.loads(dumps(lifted))
     assert a["components"] == b["components"]
